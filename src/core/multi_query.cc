@@ -1,8 +1,9 @@
 #include "core/multi_query.h"
 
 #include <algorithm>
-#include <set>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/two_step.h"
 #include "overlay/metrics.h"
@@ -36,6 +37,30 @@ double UpstreamLatencyOf(const overlay::ServiceInstance& inst,
   return 0.0;
 }
 
+// Buffers reused across Optimize calls on one thread (the engine builds a
+// fresh optimizer per Submit, so member buffers would not survive), keeping
+// the per-vertex and per-candidate loops heap-free in steady state.
+struct OptimizeScratch {
+  std::vector<int> order;
+  std::vector<NodeId> in_sphere;  // sorted ids from the sphere walk
+  std::vector<ReuseCandidate> cands;
+  // Surviving instances and their hosts, so the cost-space pruning distance
+  // runs as one batched kernel call per service instead of a per-instance
+  // strided probe.
+  std::vector<const overlay::ServiceInstance*> instances;
+  std::vector<NodeId> hosts;
+  std::vector<double> dists;
+  // Candidate circuits: copy-assigning into these reuses their vertex and
+  // edge buffers, and the immutable plan is shared, not copied.
+  overlay::Circuit variant;
+  overlay::Circuit pass_best;
+};
+
+OptimizeScratch& Scratch() {
+  thread_local OptimizeScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 MultiQueryOptimizer::MultiQueryOptimizer(
@@ -53,16 +78,17 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
   const size_t scalar_dims = sbon->cost_space().spec().num_scalar_dims();
   OptimizeResult best;
   bool have_best = false;
+  OptimizeScratch& scratch = Scratch();
+  std::vector<int>& order = scratch.order;
+  std::vector<ReuseCandidate>& cands = scratch.cands;
+  overlay::Circuit& variant = scratch.variant;
+  overlay::Circuit& pass_best = scratch.pass_best;
 
-  // Reused across reuse passes: surviving instances and their hosts, so the
-  // cost-space pruning distance runs as one batched kernel call per service
-  // instead of a per-instance strided probe.
-  std::vector<const overlay::ServiceInstance*> inst_scratch;
-  std::vector<NodeId> host_scratch;
-  std::vector<double> dist_scratch;
-
-  for (const query::LogicalPlan& plan : *plans) {
-    auto base = overlay::Circuit::FromPlan(plan, catalog);
+  for (query::LogicalPlan& owned_plan : *plans) {
+    auto shared_plan =
+        std::make_shared<const query::LogicalPlan>(std::move(owned_plan));
+    const query::LogicalPlan& plan = *shared_plan;
+    auto base = overlay::Circuit::FromPlan(std::move(shared_plan), catalog);
     if (!base.ok()) return base.status();
     placement::MappingReport report;
     Status st = PlaceAndMap(&base.value(), sbon, *placer_, config_.mapping,
@@ -81,13 +107,15 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
          pass < params_.max_reuse_bindings && params_.reuse_radius != 0.0;
          ++pass) {
       // Consider larger subtrees first (bigger savings when reused).
-      std::vector<int> order = current.PlaceableVertices();
+      order.clear();
+      for (int v = 0; v < static_cast<int>(current.NumVertices()); ++v) {
+        if (current.IsPlaceable(v)) order.push_back(v);
+      }
       std::sort(order.begin(), order.end(), [&](int a, int b) {
         return plan.op(a).stream_set.size() > plan.op(b).stream_set.size();
       });
 
       bool improved = false;
-      overlay::Circuit pass_best;
       double pass_best_cost = current_cost;
       size_t pass_best_extra_reused = 0;
 
@@ -98,38 +126,40 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
 
         // Cost-space pruning: keep instances whose hosts fall inside the
         // radius-r hyper-sphere around the service's virtual coordinate.
-        std::vector<ReuseCandidate> cands;
+        cands.clear();
         if (params_.reuse_radius < 0.0) {
-          inst_scratch.assign(instances.begin(), instances.end());
+          scratch.instances.assign(instances.begin(), instances.end());
         } else {
           // Hyper-sphere search via the Hilbert/Chord index, charged as
           // DHT traffic; only nodes the sphere search returns are eligible.
           dht::IndexQueryCost qcost;
-          auto nearby = sbon->index().WithinRadius(
+          Status near = sbon->index().WithinRadiusIdsInto(
               IdealTarget(current.vertex(v).virtual_coord, scalar_dims),
-              params_.reuse_radius, &qcost);
+              params_.reuse_radius, &qcost, &scratch.in_sphere);
           report.dht_cost.lookups += qcost.lookups;
           report.dht_cost.routing_hops += qcost.routing_hops;
           report.dht_cost.ring_probes += qcost.ring_probes;
-          if (!nearby.ok()) return nearby.status();
-          std::set<NodeId> in_sphere;
-          for (const dht::IndexMatch& m : *nearby) in_sphere.insert(m.node);
-          inst_scratch.clear();
+          if (!near.ok()) return near;
+          scratch.instances.clear();
           for (const overlay::ServiceInstance* inst : instances) {
-            if (in_sphere.count(inst->host) != 0) inst_scratch.push_back(inst);
+            if (std::binary_search(scratch.in_sphere.begin(),
+                                   scratch.in_sphere.end(), inst->host)) {
+              scratch.instances.push_back(inst);
+            }
           }
         }
         // One batched distance sweep over the surviving instances' hosts.
-        host_scratch.clear();
-        for (const overlay::ServiceInstance* inst : inst_scratch) {
-          host_scratch.push_back(inst->host);
+        scratch.hosts.clear();
+        for (const overlay::ServiceInstance* inst : scratch.instances) {
+          scratch.hosts.push_back(inst->host);
         }
-        dist_scratch.resize(host_scratch.size());
+        scratch.dists.resize(scratch.hosts.size());
         sbon->cost_space().VectorDistancesToMany(
-            current.vertex(v).virtual_coord, host_scratch.data(),
-            host_scratch.size(), dist_scratch.data());
-        for (size_t i = 0; i < inst_scratch.size(); ++i) {
-          cands.push_back(ReuseCandidate{v, inst_scratch[i], dist_scratch[i]});
+            current.vertex(v).virtual_coord, scratch.hosts.data(),
+            scratch.hosts.size(), scratch.dists.data());
+        for (size_t i = 0; i < scratch.instances.size(); ++i) {
+          cands.push_back(
+              ReuseCandidate{v, scratch.instances[i], scratch.dists[i]});
         }
         std::sort(cands.begin(), cands.end(),
                   [](const ReuseCandidate& a, const ReuseCandidate& b) {
@@ -141,7 +171,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
         best.reuse_candidates_considered += cands.size();
 
         for (const ReuseCandidate& rc : cands) {
-          overlay::Circuit variant = current;  // deep copy
+          variant = current;
           variant.BindReusedSubtree(
               rc.vertex, rc.instance->id, rc.instance->host,
               UpstreamLatencyOf(*rc.instance, *sbon));
@@ -152,7 +182,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
           auto vcost = EstimateCost(variant, *sbon, config_.lambda);
           if (!vcost.ok()) return vcost.status();
           if (*vcost < pass_best_cost) {
-            pass_best = std::move(variant);
+            std::swap(pass_best, variant);
             pass_best_cost = *vcost;
             pass_best_extra_reused = 1;
             improved = true;
@@ -160,7 +190,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
         }
       }
       if (!improved) break;
-      current = std::move(pass_best);
+      std::swap(current, pass_best);
       current_cost = pass_best_cost;
       current_reused += pass_best_extra_reused;
     }

@@ -1,6 +1,7 @@
 #include "dht/chord.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace sbon::dht {
@@ -11,6 +12,13 @@ bool InIntervalOpenClosed(const U128& x, const U128& a, const U128& b) {
   // Ring distance trick: x in (a, b] iff (x - a) <= (b - a) and x != a.
   if (x == a) return false;
   return (x - a) <= (b - a);
+}
+
+// Number of significant bits of `x` (0 for x == 0): the smallest i with
+// x < 2^i.
+unsigned BitWidth(const U128& x) {
+  return x.hi != 0 ? 64 + static_cast<unsigned>(std::bit_width(x.hi))
+                   : static_cast<unsigned>(std::bit_width(x.lo));
 }
 
 }  // namespace
@@ -100,14 +108,25 @@ size_t ChordRing::SuccessorIndex(U128 key) const {
 
 void ChordRing::Stabilize() {
   const size_t n = members_.size();
-  fingers_.resize(n * kFingerBits);
-  uint32_t* row = fingers_.data();
-  for (size_t m = 0; m < n; ++m, row += kFingerBits) {
-    for (unsigned i = 0; i < kFingerBits; ++i) {
-      const U128 target = members_[m].key + PowerOfTwo(i);
-      row[i] = static_cast<uint32_t>(SuccessorIndex(target));
+  finger_begin_.resize(n + 1);
+  fingers_.clear();
+  for (size_t m = 0; m < n; ++m) {
+    finger_begin_[m] = static_cast<uint32_t>(fingers_.size());
+    const U128& base = members_[m].key;
+    // Slot i holds the first member at clockwise distance >= 2^i from m, so
+    // a finger at distance d fills every slot up to floor(log2(d)); the next
+    // binary search starts at the first slot it cannot fill. When the search
+    // wraps back to m, no member lies that far out and every larger slot
+    // wraps too.
+    unsigned i = 0;
+    while (i < kFingerBits) {
+      const size_t f = SuccessorIndex(base + PowerOfTwo(i));
+      if (f == m) break;
+      fingers_.push_back(static_cast<uint32_t>(f));
+      i = BitWidth(members_[f].key - base);
     }
   }
+  finger_begin_[n] = static_cast<uint32_t>(fingers_.size());
   stale_ = false;
 }
 
@@ -132,21 +151,19 @@ StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
       ++hops;
       break;
     }
-    // Closest preceding finger: the largest finger strictly between
-    // cur_key and key.
+    // Closest preceding finger: the farthest finger strictly between
+    // cur_key and key. Distinct fingers are stored nearest first, so the
+    // backward scan meets the same member the 128-slot scan from the top
+    // slot would.
     size_t next = succ;
-    const uint32_t* cur_fingers = fingers_.data() + cur * kFingerBits;
-    for (unsigned i = kFingerBits; i-- > 0;) {
-      const size_t f = cur_fingers[i];
-      const U128& fkey = members_[f].key;
-      if (f != cur && InIntervalOpenClosed(fkey, cur_key, key) &&
-          fkey != key) {
-        next = f;
+    const uint32_t* first = fingers_.data() + finger_begin_[cur];
+    for (const uint32_t* f = fingers_.data() + finger_begin_[cur + 1];
+         f-- != first;) {
+      const U128& fkey = members_[*f].key;
+      if (InIntervalOpenClosed(fkey, cur_key, key) && fkey != key) {
+        next = *f;
         break;
       }
-    }
-    if (next == cur) {
-      next = succ;  // fallback: always make progress
     }
     cur = next;
     ++hops;

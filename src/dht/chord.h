@@ -60,6 +60,10 @@ class ChordRing {
   /// before Lookup; Join/Leave mark the tables stale.
   void Stabilize();
 
+  /// Distinct fingers stored across all members (memory diagnostics: the
+  /// table costs 4 bytes per entry plus 4 per member).
+  size_t NumFingerEntries() const { return fingers_.size(); }
+
   /// Chord-routes from the member owning `origin_key` toward `key`;
   /// returns successor(key). Requires a stabilized, non-empty ring.
   StatusOr<LookupResult> Lookup(U128 key, U128 origin_key) const;
@@ -73,7 +77,7 @@ class ChordRing {
   const Member& PredecessorAt(size_t member_index, size_t i) const;
 
  private:
-  /// Finger-table entries per member (one per key bit).
+  /// Chord finger slots per member (one per key bit).
   static constexpr unsigned kFingerBits = 128;
 
   // Sorted by key.
@@ -84,10 +88,14 @@ class ChordRing {
   bool in_bulk_ = false;
   std::map<U128, NodeId> bulk_members_;
   std::unordered_map<NodeId, U128> bulk_key_of_;
-  // Flat row-major finger table: fingers_[m * kFingerBits + i] = index of
-  // successor(members_[m].key + 2^i). Kept flat so Stabilize rewrites it in
-  // place without per-member allocations and lookups walk one cache-friendly
-  // row.
+  // Compact finger table. Chord's finger i of member m is
+  // successor(members_[m].key + 2^i); on an N-member ring the 128 slots hold
+  // only about log2(N) distinct members, each repeated over a run of
+  // consecutive slots. fingers_[finger_begin_[m] .. finger_begin_[m + 1])
+  // lists m's distinct fingers in slot order (strictly increasing clockwise
+  // distance from m); slots whose successor wraps back to m itself are not
+  // stored, since routing never forwards to the current member.
+  std::vector<uint32_t> finger_begin_;
   std::vector<uint32_t> fingers_;
   bool stale_ = false;
 

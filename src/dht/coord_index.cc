@@ -11,7 +11,8 @@ namespace {
 
 // Total order: by distance, node id breaking ties, so every query path
 // (probed, exact, nth_element-selected) ranks candidates identically.
-bool MatchLess(const IndexMatch& a, const IndexMatch& b) {
+template <typename Pair>
+bool DistanceThenNode(const Pair& a, const Pair& b) {
   if (a.distance != b.distance) return a.distance < b.distance;
   return a.node < b.node;
 }
@@ -115,10 +116,7 @@ Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
     pair_scratch_.push_back(DistNode{dist_scratch_[j], walk_scratch_[j]});
   }
   std::sort(pair_scratch_.begin(), pair_scratch_.end(),
-            [](const DistNode& a, const DistNode& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.node < b.node;
-            });
+            DistanceThenNode<DistNode>);
   if (pair_scratch_.size() > k) pair_scratch_.resize(k);
   out->reserve(pair_scratch_.size());
   for (const DistNode& p : pair_scratch_) {
@@ -145,8 +143,9 @@ StatusOr<IndexMatch> CoordinateIndex::Nearest(const Vec& target,
   return nearest_scratch_[0];
 }
 
-StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
-    const Vec& target, double radius, IndexQueryCost* cost) const {
+Status CoordinateIndex::SphereWalk(const Vec& target, double radius,
+                                   IndexQueryCost* cost) const {
+  pair_scratch_.clear();
   if (ring_.NumMembers() == 0) {
     return Status::FailedPrecondition("coordinate index is empty");
   }
@@ -158,7 +157,6 @@ StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
     cost->routing_hops += lookup->hops;
   }
 
-  std::vector<IndexMatch> out;
   BeginSeenEpoch();
   KernelTimer timer(Kernel::kKNearestScan, 0);
   size_t probes = 0;
@@ -169,9 +167,7 @@ StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
     ++probes;
     if (cost != nullptr) cost->ring_probes += 1;
     const double d = DistanceTo(m.node, target);
-    if (d <= radius) {
-      out.push_back(IndexMatch{m.node, d, coords_.NodeVec(m.node)});
-    }
+    if (d <= radius) pair_scratch_.push_back(DistNode{d, m.node});
     return d <= radius;
   };
 
@@ -199,8 +195,32 @@ StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
     }
   }
   timer.set_ops(probes);
-  std::sort(out.begin(), out.end(), MatchLess);
+  return Status::OK();
+}
+
+StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
+    const Vec& target, double radius, IndexQueryCost* cost) const {
+  Status st = SphereWalk(target, radius, cost);
+  if (!st.ok()) return st;
+  std::sort(pair_scratch_.begin(), pair_scratch_.end(),
+            DistanceThenNode<DistNode>);
+  std::vector<IndexMatch> out;
+  out.reserve(pair_scratch_.size());
+  for (const DistNode& p : pair_scratch_) {
+    out.push_back(IndexMatch{p.node, p.distance, coords_.NodeVec(p.node)});
+  }
   return out;
+}
+
+Status CoordinateIndex::WithinRadiusIdsInto(const Vec& target, double radius,
+                                            IndexQueryCost* cost,
+                                            std::vector<NodeId>* out) const {
+  out->clear();
+  Status st = SphereWalk(target, radius, cost);
+  if (!st.ok()) return st;
+  for (const DistNode& p : pair_scratch_) out->push_back(p.node);
+  std::sort(out->begin(), out->end());
+  return Status::OK();
 }
 
 void CoordinateIndex::KNearestExactInto(const Vec& target, size_t k,
@@ -221,10 +241,7 @@ void CoordinateIndex::KNearestExactInto(const Vec& target, size_t k,
     if (!published_[n]) continue;
     pair_scratch_.push_back(DistNode{dist_scratch_[n], n});
   }
-  auto pair_less = [](const DistNode& a, const DistNode& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.node < b.node;
-  };
+  const auto pair_less = DistanceThenNode<DistNode>;
   if (pair_scratch_.size() > k) {
     // The (distance, node) order is total, so selecting k then sorting the
     // prefix yields exactly the full-sort prefix, in O(N + k log k) instead

@@ -108,6 +108,14 @@ class CoordinateIndex {
   StatusOr<std::vector<IndexMatch>> WithinRadius(
       const Vec& target, double radius, IndexQueryCost* cost = nullptr) const;
 
+  /// The same hyper-sphere walk, reporting only the node ids it found,
+  /// sorted ascending, into a caller-owned buffer (`out` is cleared first) —
+  /// the membership set multi-query pruning tests with a binary search.
+  /// Bills exactly the traffic WithinRadius bills; heap-free in steady state.
+  Status WithinRadiusIdsInto(const Vec& target, double radius,
+                             IndexQueryCost* cost,
+                             std::vector<NodeId>* out) const;
+
   /// Exact linear-scan answer (the oracle a centralized index would give);
   /// used by tests and by accuracy measurements.
   std::vector<IndexMatch> KNearestExact(const Vec& target, size_t k) const;
@@ -146,8 +154,12 @@ class CoordinateIndex {
   mutable std::vector<NodeId> walk_scratch_;
 
   double DistanceTo(NodeId n, const Vec& target) const;
-  /// Starts a WithinRadius walk: bumps the epoch and sizes the stamps.
+  /// Starts a sphere walk: bumps the epoch and sizes the stamps.
   void BeginSeenEpoch() const;
+  /// The hyper-sphere walk behind WithinRadius and WithinRadiusIdsInto:
+  /// leaves the in-radius members in `pair_scratch_`, in walk order.
+  Status SphereWalk(const Vec& target, double radius,
+                    IndexQueryCost* cost) const;
 };
 
 }  // namespace sbon::dht

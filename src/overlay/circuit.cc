@@ -4,10 +4,17 @@ namespace sbon::overlay {
 
 StatusOr<Circuit> Circuit::FromPlan(const query::LogicalPlan& plan,
                                     const query::Catalog& catalog) {
+  return FromPlan(std::make_shared<const query::LogicalPlan>(plan), catalog);
+}
+
+StatusOr<Circuit> Circuit::FromPlan(
+    std::shared_ptr<const query::LogicalPlan> shared_plan,
+    const query::Catalog& catalog) {
+  const query::LogicalPlan& plan = *shared_plan;
   Status valid = plan.Validate();
   if (!valid.ok()) return valid;
   Circuit c;
-  c.plan_ = plan;
+  c.plan_ = std::move(shared_plan);
   c.vertices_.resize(plan.NumOps());
   for (int i = 0; i < static_cast<int>(plan.NumOps()); ++i) {
     const query::PlanOp& op = plan.op(i);
@@ -38,6 +45,11 @@ StatusOr<Circuit> Circuit::FromPlan(const query::LogicalPlan& plan,
   return c;
 }
 
+const query::LogicalPlan& Circuit::plan() const {
+  static const query::LogicalPlan kEmpty;
+  return plan_ != nullptr ? *plan_ : kEmpty;
+}
+
 std::vector<int> Circuit::UnpinnedVertices() const {
   std::vector<int> out;
   for (int i = 0; i < static_cast<int>(vertices_.size()); ++i) {
@@ -49,7 +61,7 @@ std::vector<int> Circuit::UnpinnedVertices() const {
 std::vector<int> Circuit::PlaceableVertices() const {
   std::vector<int> out;
   for (int i = 0; i < static_cast<int>(vertices_.size()); ++i) {
-    if (!vertices_[i].pinned && !vertices_[i].reused) out.push_back(i);
+    if (IsPlaceable(i)) out.push_back(i);
   }
   return out;
 }
@@ -59,15 +71,6 @@ bool Circuit::FullyPlaced() const {
     if (v.host == kInvalidNode) return false;
   }
   return true;
-}
-
-std::vector<std::pair<int, int>> Circuit::IncidentEdges(int v) const {
-  std::vector<std::pair<int, int>> out;
-  for (int e = 0; e < static_cast<int>(edges_.size()); ++e) {
-    if (edges_[e].from == v) out.emplace_back(e, edges_[e].to);
-    if (edges_[e].to == v) out.emplace_back(e, edges_[e].from);
-  }
-  return out;
 }
 
 double Circuit::TotalEdgeRate() const {
@@ -88,7 +91,7 @@ void Circuit::BindReusedSubtree(int vertex, ServiceInstanceId instance,
   v.reused_upstream_latency_ms = upstream_latency_ms;
   // Everything below the reused vertex is served by the existing instance:
   // mark descendants reused (no deployment) and their edges non-physical.
-  std::vector<int> stack = plan_.op(vertex).children;
+  std::vector<int> stack = plan_->op(vertex).children;
   std::vector<bool> in_subtree(vertices_.size(), false);
   in_subtree[vertex] = true;
   while (!stack.empty()) {
@@ -101,7 +104,7 @@ void Circuit::BindReusedSubtree(int vertex, ServiceInstanceId instance,
       d.service = kInvalidService;
       d.host = instance_host;
     }
-    for (int c : plan_.op(i).children) stack.push_back(c);
+    for (int c : plan_->op(i).children) stack.push_back(c);
   }
   for (CircuitEdge& e : edges_) {
     if (in_subtree[e.to] && in_subtree[e.from]) e.physical = false;

@@ -1,6 +1,7 @@
 #ifndef SBON_OVERLAY_CIRCUIT_H_
 #define SBON_OVERLAY_CIRCUIT_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -52,11 +53,17 @@ class Circuit {
   /// `plan.consumer()`, interior vertices unpinned.
   static StatusOr<Circuit> FromPlan(const query::LogicalPlan& plan,
                                     const query::Catalog& catalog);
+  /// Same, sharing `plan` instead of copying it. The plan is immutable, so
+  /// every copy of the circuit (the optimizer's reuse variants included)
+  /// shares it too; copying a circuit copies only its vertices and edges.
+  static StatusOr<Circuit> FromPlan(
+      std::shared_ptr<const query::LogicalPlan> plan,
+      const query::Catalog& catalog);
 
   CircuitId id() const { return id_; }
   void set_id(CircuitId id) { id_ = id; }
 
-  const query::LogicalPlan& plan() const { return plan_; }
+  const query::LogicalPlan& plan() const;
   size_t NumVertices() const { return vertices_.size(); }
   size_t NumEdges() const { return edges_.size(); }
 
@@ -67,13 +74,15 @@ class Circuit {
 
   /// Vertex indices that are unpinned (interior services).
   std::vector<int> UnpinnedVertices() const;
-  /// Unpinned vertices that still need placement/deployment (not reused).
+  /// True if vertex `i` is unpinned and not reused: it still needs placement
+  /// and deployment.
+  bool IsPlaceable(int i) const {
+    return !vertices_[i].pinned && !vertices_[i].reused;
+  }
+  /// The placeable vertices, ascending.
   std::vector<int> PlaceableVertices() const;
   /// True once every vertex has a host.
   bool FullyPlaced() const;
-
-  /// Edges incident to vertex `v` as (edge index, other-vertex index).
-  std::vector<std::pair<int, int>> IncidentEdges(int v) const;
 
   /// Total data rate (bytes/s) summed over physical edges.
   double TotalEdgeRate() const;
@@ -88,7 +97,7 @@ class Circuit {
 
  private:
   CircuitId id_ = kInvalidCircuit;
-  query::LogicalPlan plan_;
+  std::shared_ptr<const query::LogicalPlan> plan_;  // null: empty plan
   std::vector<CircuitVertex> vertices_;
   std::vector<CircuitEdge> edges_;
 };

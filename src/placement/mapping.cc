@@ -55,15 +55,21 @@ Status MapOneVertex(overlay::Circuit* circuit, int v,
   return Status::OK();
 }
 
+// Candidate buffer reused across vertices and circuits: the index query
+// keeps its capacity, so mapping is heap-free in steady state.
+std::vector<dht::IndexMatch>& MatchScratch() {
+  thread_local std::vector<dht::IndexMatch> matches;
+  return matches;
+}
+
 }  // namespace
 
 Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                   const MappingOptions& options, MappingReport* report) {
   const size_t scalar_dims = sbon.cost_space().spec().num_scalar_dims();
-  // One candidate buffer for the whole circuit: the index query reuses its
-  // capacity across vertices, keeping the per-vertex loop heap-free.
-  std::vector<dht::IndexMatch> matches;
-  for (int v : circuit->PlaceableVertices()) {
+  std::vector<dht::IndexMatch>& matches = MatchScratch();
+  for (int v = 0; v < static_cast<int>(circuit->NumVertices()); ++v) {
+    if (!circuit->IsPlaceable(v)) continue;
     const Vec target =
         IdealFullTarget(circuit->vertex(v).virtual_coord, scalar_dims);
     dht::IndexQueryCost qcost;
@@ -85,8 +91,9 @@ Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
 Status MapCircuitExact(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                        const MappingOptions& options, MappingReport* report) {
   const size_t scalar_dims = sbon.cost_space().spec().num_scalar_dims();
-  std::vector<dht::IndexMatch> matches;
-  for (int v : circuit->PlaceableVertices()) {
+  std::vector<dht::IndexMatch>& matches = MatchScratch();
+  for (int v = 0; v < static_cast<int>(circuit->NumVertices()); ++v) {
+    if (!circuit->IsPlaceable(v)) continue;
     const Vec target =
         IdealFullTarget(circuit->vertex(v).virtual_coord, scalar_dims);
     sbon.index().KNearestExactInto(target, options.k_candidates, &matches);

@@ -26,10 +26,42 @@ Vec SeedAtPinnedCentroid(overlay::Circuit* circuit,
   if (weight > 0.0) {
     centroid /= weight;
   }
-  for (int i : circuit->PlaceableVertices()) {
-    circuit->mutable_vertex(i).virtual_coord = centroid;
+  for (int i = 0; i < static_cast<int>(circuit->NumVertices()); ++i) {
+    if (circuit->IsPlaceable(i)) {
+      circuit->mutable_vertex(i).virtual_coord = centroid;
+    }
   }
   return centroid;
+}
+
+void BuildAdjacency(const overlay::Circuit& circuit,
+                    const coords::CostSpace& space, Adjacency* adj) {
+  adj->vertices.clear();
+  adj->begin.clear();
+  adj->springs.clear();
+  adj->anchors.clear();
+  const std::vector<overlay::CircuitEdge>& edges = circuit.edges();
+  auto add = [&](double rate, int other) {
+    if (rate <= 0.0) return;
+    Adjacency::Spring s;
+    s.rate = rate;
+    s.vertex = other;
+    if (!circuit.IsPlaceable(other)) {
+      s.anchor = static_cast<int>(adj->anchors.size());
+      adj->anchors.push_back(AnchorCoord(circuit, other, space));
+    }
+    adj->springs.push_back(s);
+  };
+  for (int v = 0; v < static_cast<int>(circuit.NumVertices()); ++v) {
+    if (!circuit.IsPlaceable(v)) continue;
+    adj->vertices.push_back(v);
+    adj->begin.push_back(adj->springs.size());
+    for (const overlay::CircuitEdge& e : edges) {
+      if (e.from == v) add(e.rate_bytes_per_s, e.to);
+      if (e.to == v) add(e.rate_bytes_per_s, e.from);
+    }
+  }
+  adj->begin.push_back(adj->springs.size());
 }
 
 }  // namespace sbon::placement::internal

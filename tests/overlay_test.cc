@@ -74,12 +74,21 @@ TEST(CircuitTest, FromPlanRejectsUnknownStream) {
   EXPECT_FALSE(circuit.ok());
 }
 
-TEST(CircuitTest, IncidentEdges) {
+TEST(CircuitTest, CopiesShareOnePlan) {
   query::Catalog c = TwoStreamCatalog();
   auto circuit = Circuit::FromPlan(JoinPlan(c, 5), c);
   ASSERT_TRUE(circuit.ok());
-  const auto inc = circuit->IncidentEdges(2);  // the join vertex
-  EXPECT_EQ(inc.size(), 3u);
+  Circuit variant = *circuit;
+  variant.BindReusedSubtree(/*vertex=*/2, /*instance=*/42,
+                            /*instance_host=*/7,
+                            /*upstream_latency_ms=*/0.0);
+  // The plan is immutable and shared; vertices and edges are per copy.
+  EXPECT_EQ(&variant.plan(), &circuit->plan());
+  EXPECT_TRUE(variant.vertex(2).reused);
+  EXPECT_FALSE(circuit->vertex(2).reused);
+  EXPECT_TRUE(circuit->edges()[0].physical);
+  // A default circuit has an empty plan.
+  EXPECT_EQ(Circuit().plan().NumOps(), 0u);
 }
 
 TEST(CircuitTest, BindReusedSubtreeMarksEverything) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/generators.h"
@@ -85,6 +86,27 @@ TEST(RelaxationTest, HeavySourceAttractsService) {
   // Service should sit much closer to producer 0 than to node 10.
   EXPECT_LT(v.DistanceTo(s->cost_space().VectorCoord(0)),
             0.2 * v.DistanceTo(s->cost_space().VectorCoord(10)));
+}
+
+TEST(AdjacencyTest, JoinVertexSprings) {
+  auto s = LineSbon();
+  query::Catalog c = TwoStreamCatalog(0, 10);
+  auto circuit = Circuit::FromPlan(JoinPlan(c, 10), c);
+  ASSERT_TRUE(circuit.ok());
+  internal::Adjacency adj;
+  internal::BuildAdjacency(*circuit, s->cost_space(), &adj);
+  // Only the join is placeable; its springs run to both producers and the
+  // consumer, in edge order, each anchored at its host's coordinate.
+  ASSERT_EQ(adj.vertices, (std::vector<int>{2}));
+  ASSERT_EQ(adj.begin, (std::vector<size_t>{0, 3}));
+  const NodeId far_end[] = {0, 10, 10};
+  for (size_t k = 0; k < 3; ++k) {
+    const internal::Adjacency::Spring& spring = adj.springs[k];
+    EXPECT_EQ(spring.rate, circuit->edges()[k].rate_bytes_per_s);
+    ASSERT_GE(spring.anchor, 0);
+    EXPECT_EQ(adj.Coord(spring, *circuit),
+              s->cost_space().VectorCoord(far_end[k]));
+  }
 }
 
 TEST(RelaxationTest, NoPlaceableVerticesIsNoOp) {
