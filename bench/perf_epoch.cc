@@ -7,8 +7,9 @@
 // Emits machine-readable JSON via --json=PATH (schema documented in the
 // README "Performance" section); BENCH_epoch.json at the repo root is the
 // recorded baseline from a full run at N=512 / Q=64. The harness also
-// verifies, via a global allocation counter, that the Vivaldi update and
-// KNearest inner loops are heap-free per call in steady state.
+// verifies, via a global allocation counter, that the Vivaldi update, the
+// KNearest and id-only sphere-walk index queries, Chord lookups and
+// relaxation placement are heap-free per call in steady state.
 //
 // Flags: --smoke (tiny sweep), --json=PATH, --nodes=N, --queries=Q,
 // --epochs=E, --epsilon=X (refresh displacement threshold, cost-space
@@ -83,6 +84,9 @@
 #include "net/churn.h"
 #include "net/shortest_path.h"
 #include "net/sparse_fabric.h"
+#include "overlay/circuit.h"
+#include "placement/relaxation.h"
+#include "query/enumerate.h"
 #include "query/workload.h"
 
 // ---------------------------------------------------------------------------
@@ -576,6 +580,87 @@ double MeasureKNearestAllocs(const overlay::Sbon& sbon) {
          static_cast<double>(kRounds);
 }
 
+// Allocations per ChordRing::Lookup in steady state (must be 0): routes
+// from every member toward keys spread over the ring.
+double MeasureChordLookupAllocs(const overlay::Sbon& sbon) {
+  const dht::ChordRing& ring = sbon.index().ring();
+  const std::vector<dht::ChordRing::Member>& members = ring.members();
+  size_t hops = 0;
+  auto route = [&](size_t rounds) {
+    for (size_t i = 0; i < rounds; ++i) {
+      const dht::U128 origin = members[i % members.size()].key;
+      const dht::U128 key = members[(i * 7 + 3) % members.size()].key +
+                            dht::U128::FromU64(i);
+      auto r = ring.Lookup(key, origin);
+      if (r.ok()) hops += r->hops;
+    }
+  };
+  route(64);  // warm-up
+  const size_t before = g_alloc_count;
+  constexpr size_t kRounds = 20000;
+  route(kRounds);
+  const double allocs = static_cast<double>(g_alloc_count - before) /
+                        static_cast<double>(kRounds);
+  return hops > 0 ? allocs : -1.0;  // -1: the ring never routed a hop
+}
+
+// Allocations per id-only hyper-sphere walk (CoordinateIndex::
+// WithinRadiusIdsInto, the multi-query pruning search) with a reused output
+// buffer in steady state (must be 0).
+double MeasureSphereWalkAllocs(const overlay::Sbon& sbon) {
+  const dht::CoordinateIndex& index = sbon.index();
+  std::vector<NodeId> ids;
+  dht::IndexQueryCost cost;
+  auto walk = [&](size_t rounds) {
+    for (size_t i = 0; i < rounds; ++i) {
+      const NodeId n =
+          sbon.overlay_nodes()[i % sbon.overlay_nodes().size()];
+      const Vec target = sbon.cost_space().FullCoord(n);
+      (void)index.WithinRadiusIdsInto(target, /*radius=*/50.0, &cost, &ids);
+    }
+  };
+  walk(64);  // warm-up
+  const size_t before = g_alloc_count;
+  constexpr size_t kRounds = 2000;
+  walk(kRounds);
+  return static_cast<double>(g_alloc_count - before) /
+         static_cast<double>(kRounds);
+}
+
+// Allocations per RelaxationPlacer::Place in steady state (must be 0): the
+// candidate circuits of a few random queries, each re-placed from its
+// pinned-centroid seed every round.
+double MeasureRelaxationAllocs(const overlay::Sbon& sbon) {
+  Rng rng(11);
+  query::WorkloadParams wp;
+  const query::Catalog catalog =
+      query::RandomCatalog(wp, sbon.overlay_nodes(), &rng);
+  std::vector<overlay::Circuit> circuits;
+  for (int q = 0; q < 8; ++q) {
+    const query::QuerySpec spec =
+        query::RandomQuery(wp, catalog, sbon.overlay_nodes(), &rng);
+    auto plans = query::EnumeratePlans(spec, catalog, {});
+    if (!plans.ok()) continue;
+    for (const query::LogicalPlan& plan : *plans) {
+      auto c = overlay::Circuit::FromPlan(plan, catalog);
+      if (c.ok()) circuits.push_back(std::move(c.value()));
+    }
+  }
+  if (circuits.empty()) return -1.0;
+  const placement::RelaxationPlacer placer;
+  auto place = [&](size_t rounds) {
+    for (size_t i = 0; i < rounds; ++i) {
+      (void)placer.Place(&circuits[i % circuits.size()], sbon.cost_space());
+    }
+  };
+  place(circuits.size());  // warm-up: grows the adjacency scratch
+  const size_t before = g_alloc_count;
+  constexpr size_t kRounds = 2000;
+  place(kRounds);
+  return static_cast<double>(g_alloc_count - before) /
+         static_cast<double>(kRounds);
+}
+
 // ---------------------------------------------------------------------------
 // Hot-kernel microbenchmarks: each production kernel against a bench-local
 // reference replicating the pre-SoA per-Vec implementation verbatim. The
@@ -885,7 +970,8 @@ int main(int argc, char** argv) {
   sbon::EpochLoopResult primary, eps0, churned;
   sbon::PipelineRunResult pipe1, pipeN;
   bool bit_identical = true;
-  double vivaldi_allocs = 0.0, knearest_allocs = 0.0;
+  double vivaldi_allocs = 0.0, knearest_allocs = 0.0, lookup_allocs = 0.0,
+         sphere_allocs = 0.0, relax_allocs = 0.0;
   sbon::KernelBenchResult kb_vivaldi, kb_knearest, kb_costeval;
   const bool kernels_detail = sbon::HasFlag(argc, argv, "--kernels");
   const size_t hw_threads = std::max(1u, std::thread::hardware_concurrency());
@@ -969,14 +1055,28 @@ int main(int argc, char** argv) {
     auto audit_sbon = sbon::bench::MakeTransitStubSbon(
         sbon::bench::Nodes(200), /*seed=*/7);
     knearest_allocs = sbon::MeasureKNearestAllocs(*audit_sbon);
-    std::printf("allocs/VivaldiSystem::Update = %g (want 0)\n",
+    lookup_allocs = sbon::MeasureChordLookupAllocs(*audit_sbon);
+    sphere_allocs = sbon::MeasureSphereWalkAllocs(*audit_sbon);
+    relax_allocs = sbon::MeasureRelaxationAllocs(*audit_sbon);
+    std::printf("allocs/VivaldiSystem::Update   = %g (want 0)\n",
                 vivaldi_allocs);
-    std::printf("allocs/KNearestInto          = %g (want 0)\n",
+    std::printf("allocs/KNearestInto            = %g (want 0)\n",
                 knearest_allocs);
-    if (vivaldi_allocs != 0.0 || knearest_allocs != 0.0) {
+    std::printf("allocs/ChordRing::Lookup       = %g (want 0)\n",
+                lookup_allocs);
+    std::printf("allocs/WithinRadiusIdsInto     = %g (want 0)\n",
+                sphere_allocs);
+    std::printf("allocs/RelaxationPlacer::Place = %g (want 0)\n",
+                relax_allocs);
+    if (vivaldi_allocs != 0.0 || knearest_allocs != 0.0 ||
+        lookup_allocs != 0.0 || sphere_allocs != 0.0 ||
+        relax_allocs != 0.0) {
       std::fprintf(stderr,
-                   "FAIL: hot loops allocate (vivaldi=%g knearest=%g)\n",
-                   vivaldi_allocs, knearest_allocs);
+                   "FAIL: hot loops allocate (vivaldi=%g knearest=%g "
+                   "lookup=%g sphere=%g relaxation=%g; -1 = nothing "
+                   "measured)\n",
+                   vivaldi_allocs, knearest_allocs, lookup_allocs,
+                   sphere_allocs, relax_allocs);
       return 1;
     }
 
@@ -1254,6 +1354,9 @@ int main(int argc, char** argv) {
           "  \"refreshes\": %zu,\n"
           "  \"allocs_per_vivaldi_update\": %g,\n"
           "  \"allocs_per_knearest\": %g,\n"
+          "  \"allocs_per_chord_lookup\": %g,\n"
+          "  \"allocs_per_sphere_walk\": %g,\n"
+          "  \"allocs_per_relaxation_place\": %g,\n"
           "  \"parallel\": {\n"
           "    \"hw_threads\": %zu,\n"
           "    \"threads\": %zu,\n"
@@ -1278,7 +1381,8 @@ int main(int argc, char** argv) {
           eps0.ns_per_epoch, primary.allocs_per_epoch,
           primary.refresh.republished, primary.refresh.skipped,
           primary.refresh.quiet_refreshes, primary.refresh.refreshes,
-          vivaldi_allocs, knearest_allocs, hw_threads, par_threads,
+          vivaldi_allocs, knearest_allocs, lookup_allocs, sphere_allocs,
+          relax_allocs, hw_threads, par_threads,
           pipe1.ns_per_epoch, pipeN.ns_per_epoch, speedup_buf,
           speedup_measurable ? "ok" : "skipped-single-core",
           bit_identical ? "true" : "false", churn_rate, churned.ns_per_epoch,
