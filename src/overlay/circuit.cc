@@ -91,20 +91,20 @@ void Circuit::BindReusedSubtree(int vertex, ServiceInstanceId instance,
   v.reused_upstream_latency_ms = upstream_latency_ms;
   // Everything below the reused vertex is served by the existing instance:
   // mark descendants reused (no deployment) and their edges non-physical.
-  std::vector<int> stack = plan_->op(vertex).children;
-  std::vector<bool> in_subtree(vertices_.size(), false);
-  in_subtree[vertex] = true;
-  while (!stack.empty()) {
-    const int i = stack.back();
-    stack.pop_back();
-    in_subtree[i] = true;
+  // Children precede their parents in the plan arena, so one descending
+  // pass reaches every descendant after its parent was marked.
+  thread_local std::vector<char> in_subtree;
+  in_subtree.assign(vertices_.size(), 0);
+  in_subtree[vertex] = 1;
+  for (int i = vertex; i >= 0; --i) {
+    if (!in_subtree[i]) continue;
     CircuitVertex& d = vertices_[i];
-    if (!d.pinned) {
+    if (i != vertex && !d.pinned) {
       d.reused = true;
       d.service = kInvalidService;
       d.host = instance_host;
     }
-    for (int c : plan_->op(i).children) stack.push_back(c);
+    for (int c : plan_->op(i).children) in_subtree[c] = 1;
   }
   for (CircuitEdge& e : edges_) {
     if (in_subtree[e.to] && in_subtree[e.from]) e.physical = false;

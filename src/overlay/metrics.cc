@@ -1,11 +1,19 @@
 #include "overlay/metrics.h"
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 namespace sbon::overlay {
 namespace {
+
+// The per-op DP buffer of the latency walks below (zeroed, `ops` long),
+// reused per thread: cost estimation runs for every candidate circuit on the
+// Submit path. The walks never nest.
+std::vector<double>& LongestScratch(size_t ops) {
+  thread_local std::vector<double> longest;
+  longest.assign(ops, 0.0);
+  return longest;
+}
 
 // Longest root-ward latency path from any producer leaf to the consumer.
 // Circuits are trees, so a bottom-up DP over plan ops suffices. A reused
@@ -13,7 +21,7 @@ namespace {
 // upstream latency.
 double CriticalPathLatency(const Circuit& c, const net::LatencyView& lat) {
   const query::LogicalPlan& plan = c.plan();
-  std::vector<double> longest(plan.NumOps(), 0.0);
+  std::vector<double>& longest = LongestScratch(plan.NumOps());
   double best = 0.0;
   for (int i = 0; i < static_cast<int>(plan.NumOps()); ++i) {
     const query::PlanOp& op = plan.op(i);
@@ -37,15 +45,15 @@ double CriticalPathLatency(const Circuit& c, const net::LatencyView& lat) {
 // Load penalty of newly deployed services: weighted scalar penalty of each
 // service's host times the data rate the service processes.
 double LoadPenalty(const Circuit& circuit, const coords::CostSpace& space) {
-  std::vector<double> input_rate(circuit.NumVertices(), 0.0);
-  for (const CircuitEdge& e : circuit.edges()) {
-    if (e.physical) input_rate[e.to] += e.rate_bytes_per_s;
-  }
   double penalty = 0.0;
   for (int i = 0; i < static_cast<int>(circuit.NumVertices()); ++i) {
     const CircuitVertex& v = circuit.vertex(i);
     if (v.pinned || v.reused) continue;
-    penalty += space.ScalarPenalty(v.host) * input_rate[i];
+    double input_rate = 0.0;
+    for (const CircuitEdge& e : circuit.edges()) {
+      if (e.physical && e.to == i) input_rate += e.rate_bytes_per_s;
+    }
+    penalty += space.ScalarPenalty(v.host) * input_rate;
   }
   return penalty;
 }
@@ -84,7 +92,7 @@ StatusOr<CircuitCost> EstimateCircuitCostInSpace(
   }
   // Critical path in coordinate space.
   const query::LogicalPlan& plan = circuit.plan();
-  std::vector<double> longest(plan.NumOps(), 0.0);
+  std::vector<double>& longest = LongestScratch(plan.NumOps());
   for (int i = 0; i < static_cast<int>(plan.NumOps()); ++i) {
     double l = 0.0;
     for (int child : plan.op(i).children) {
@@ -103,7 +111,7 @@ StatusOr<double> UpstreamLatencyToService(const Circuit& circuit,
                                           ServiceInstanceId service,
                                           const net::LatencyView& lat) {
   const query::LogicalPlan& plan = circuit.plan();
-  std::vector<double> longest(plan.NumOps(), 0.0);
+  std::vector<double>& longest = LongestScratch(plan.NumOps());
   for (int i = 0; i < static_cast<int>(plan.NumOps()); ++i) {
     const CircuitVertex& v = circuit.vertex(i);
     double l = 0.0;
