@@ -30,9 +30,7 @@ StatusOr<OptimizeResult> IntegratedOptimizer::Optimize(
                             config_.mapping, &report);
     if (!st.ok()) return st;
     ++placements;
-    mapping_total.dht_cost.lookups += report.dht_cost.lookups;
-    mapping_total.dht_cost.routing_hops += report.dht_cost.routing_hops;
-    mapping_total.dht_cost.ring_probes += report.dht_cost.ring_probes;
+    mapping_total.dht_cost += report.dht_cost;
     mapping_total.services_mapped += report.services_mapped;
     mapping_total.total_mapping_error += report.total_mapping_error;
     mapping_total.load_overrides += report.load_overrides;

@@ -136,9 +136,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
           Status near = sbon->index().WithinRadiusIdsInto(
               IdealTarget(current.vertex(v).virtual_coord, scalar_dims),
               params_.reuse_radius, &qcost, &scratch.in_sphere);
-          report.dht_cost.lookups += qcost.lookups;
-          report.dht_cost.routing_hops += qcost.routing_hops;
-          report.dht_cost.ring_probes += qcost.ring_probes;
+          report.dht_cost += qcost;
           if (!near.ok()) return near;
           scratch.instances.clear();
           for (const overlay::ServiceInstance* inst : instances) {
@@ -201,9 +199,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
       best.services_reused = current_reused;
       have_best = true;
     }
-    best.mapping.dht_cost.lookups += report.dht_cost.lookups;
-    best.mapping.dht_cost.routing_hops += report.dht_cost.routing_hops;
-    best.mapping.dht_cost.ring_probes += report.dht_cost.ring_probes;
+    best.mapping.dht_cost += report.dht_cost;
     best.mapping.services_mapped += report.services_mapped;
     best.mapping.total_mapping_error += report.total_mapping_error;
     best.mapping.load_overrides += report.load_overrides;

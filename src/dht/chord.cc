@@ -156,12 +156,10 @@ StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
     // backward scan meets the same member the 128-slot scan from the top
     // slot would.
     size_t next = succ;
-    const uint32_t* first = fingers_.data() + finger_begin_[cur];
-    for (const uint32_t* f = fingers_.data() + finger_begin_[cur + 1];
-         f-- != first;) {
-      const U128& fkey = members_[*f].key;
+    for (uint32_t k = finger_begin_[cur + 1]; k-- > finger_begin_[cur];) {
+      const U128& fkey = members_[fingers_[k]].key;
       if (InIntervalOpenClosed(fkey, cur_key, key) && fkey != key) {
-        next = *f;
+        next = fingers_[k];
         break;
       }
     }

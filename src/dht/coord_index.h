@@ -21,6 +21,13 @@ struct IndexQueryCost {
   size_t ring_probes = 0; ///< distinct neighborhood members examined on the
                           ///< ring (each member is billed at most once per
                           ///< query, excluded or not).
+
+  IndexQueryCost& operator+=(const IndexQueryCost& o) {
+    lookups += o.lookups;
+    routing_hops += o.routing_hops;
+    ring_probes += o.ring_probes;
+    return *this;
+  }
 };
 
 /// A node returned by a coordinate query, with its distance to the target.

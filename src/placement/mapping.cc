@@ -77,11 +77,7 @@ Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                                           options.probe_width, &qcost, {},
                                           &matches);
     if (!st.ok()) return st;
-    if (report != nullptr) {
-      report->dht_cost.lookups += qcost.lookups;
-      report->dht_cost.routing_hops += qcost.routing_hops;
-      report->dht_cost.ring_probes += qcost.ring_probes;
-    }
+    if (report != nullptr) report->dht_cost += qcost;
     st = MapOneVertex(circuit, v, matches, options, report);
     if (!st.ok()) return st;
   }
