@@ -11,11 +11,13 @@ namespace {
 
 // Total order: by distance, node id breaking ties, so every query path
 // (probed, exact, nth_element-selected) ranks candidates identically.
-template <typename Pair>
-bool DistanceThenNode(const Pair& a, const Pair& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.node < b.node;
-}
+struct DistanceThenNode {
+  template <typename Pair>
+  bool operator()(const Pair& a, const Pair& b) const {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.node < b.node;
+  }
+};
 
 }  // namespace
 
@@ -115,8 +117,7 @@ Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
   for (size_t j = 0; j < count; ++j) {
     pair_scratch_.push_back(DistNode{dist_scratch_[j], walk_scratch_[j]});
   }
-  std::sort(pair_scratch_.begin(), pair_scratch_.end(),
-            DistanceThenNode<DistNode>);
+  std::sort(pair_scratch_.begin(), pair_scratch_.end(), DistanceThenNode());
   if (pair_scratch_.size() > k) pair_scratch_.resize(k);
   out->reserve(pair_scratch_.size());
   for (const DistNode& p : pair_scratch_) {
@@ -202,8 +203,7 @@ StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
     const Vec& target, double radius, IndexQueryCost* cost) const {
   Status st = SphereWalk(target, radius, cost);
   if (!st.ok()) return st;
-  std::sort(pair_scratch_.begin(), pair_scratch_.end(),
-            DistanceThenNode<DistNode>);
+  std::sort(pair_scratch_.begin(), pair_scratch_.end(), DistanceThenNode());
   std::vector<IndexMatch> out;
   out.reserve(pair_scratch_.size());
   for (const DistNode& p : pair_scratch_) {
@@ -241,7 +241,7 @@ void CoordinateIndex::KNearestExactInto(const Vec& target, size_t k,
     if (!published_[n]) continue;
     pair_scratch_.push_back(DistNode{dist_scratch_[n], n});
   }
-  const auto pair_less = DistanceThenNode<DistNode>;
+  const DistanceThenNode pair_less{};
   if (pair_scratch_.size() > k) {
     // The (distance, node) order is total, so selecting k then sorting the
     // prefix yields exactly the full-sort prefix, in O(N + k log k) instead
