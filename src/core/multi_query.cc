@@ -173,9 +173,14 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
           variant.BindReusedSubtree(
               rc.vertex, rc.instance->id, rc.instance->host,
               UpstreamLatencyOf(*rc.instance, *sbon));
+          // The variant's mapping issues real index lookups, so its DHT
+          // traffic is billed; its services_mapped and mapping error are not,
+          // so those keep describing the base circuits.
+          placement::MappingReport variant_report;
           Status pst = PlaceAndMap(&variant, sbon, *placer_, config_.mapping,
-                                   nullptr);
+                                   &variant_report);
           if (!pst.ok()) return pst;
+          report.dht_cost += variant_report.dht_cost;
           best.placements_evaluated += 1;
           auto vcost = EstimateCost(variant, *sbon, config_.lambda);
           if (!vcost.ok()) return vcost.status();

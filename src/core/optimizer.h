@@ -38,6 +38,9 @@ struct OptimizeResult {
   size_t placements_evaluated = 0;  ///< candidate circuits placed + mapped
   size_t reuse_candidates_considered = 0;
   size_t services_reused = 0;
+  /// `dht_cost` bills every index query the run issued: base-circuit
+  /// mappings, reuse sphere searches and reuse-variant mappings. The other
+  /// fields describe the mappings of the base (enumerated) circuits.
   placement::MappingReport mapping;
 };
 

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "common/kernel_stats.h"
 #include "core/integrated.h"
 #include "core/multi_query.h"
 #include "core/reopt.h"
@@ -198,6 +199,46 @@ TEST(MultiQueryTest, IdenticalQueryReusesWholeSubtree) {
   // And it installs cleanly against the live instances.
   auto id = s->InstallCircuit(std::move(second->circuit));
   ASSERT_TRUE(id.ok());
+}
+
+TEST(MultiQueryTest, BillsEveryIndexLookupItIssues) {
+  auto s = MakeSbon(6);
+  query::WorkloadParams wp = TestWorkload();
+  query::Catalog cat =
+      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+  OptimizerConfig cfg;
+  // A radius spanning the whole cost space: the sphere search runs (and is
+  // billed) and every compatible instance survives it.
+  const double radius = 2.0 * s->latency().MaxLatency();
+  MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(radius));
+  const query::QuerySpec q = query::QuerySpec::SimpleJoin(
+      {0, 1, 2}, s->overlay_nodes()[5], 0.001);
+  auto first = mq.Optimize(q, cat, s.get());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(s->InstallCircuit(std::move(first->circuit)).ok());
+
+  query::QuerySpec q2 = q;
+  q2.consumer = s->overlay_nodes()[40];
+  // Every index query (a base-circuit or variant mapping probe, or a sphere
+  // search) runs one distance scan and issues one Chord lookup.
+  const KernelStatsSnapshot before = KernelStats::Instance().Snapshot();
+  auto second = mq.Optimize(q2, cat, s.get());
+  const uint64_t issued = KernelStats::Instance()
+                              .Snapshot()
+                              .Since(before)[Kernel::kKNearestScan]
+                              .calls;
+  ASSERT_TRUE(second.ok());
+  ASSERT_GT(second->reuse_candidates_considered, 0u);  // variants were mapped
+  EXPECT_EQ(second->mapping.dht_cost.lookups, issued);
+
+  // The mapping quality fields still describe the base circuits only: the
+  // integrated optimizer maps exactly those.
+  IntegratedOptimizer integrated(cfg, Relaxation());
+  auto base = integrated.Optimize(q2, cat, s.get());
+  ASSERT_TRUE(base.ok());
+  EXPECT_EQ(second->mapping.services_mapped, base->mapping.services_mapped);
+  EXPECT_DOUBLE_EQ(second->mapping.total_mapping_error,
+                   base->mapping.total_mapping_error);
 }
 
 TEST(MultiQueryTest, UnboundedRadiusNeverWorseThanNoReuse) {
