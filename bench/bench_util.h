@@ -47,7 +47,7 @@ inline std::string& JsonFlag() {
   return path;
 }
 
-/// Latency-substrate backend override (`--fabric=auto|dense|sparse`).
+/// Base-latency source override (`--fabric=auto|dense|sparse`).
 /// "auto" keeps Sbon::Options defaults: dense up to the sparse auto
 /// threshold, the generative sparse backend above it.
 inline std::string& FabricFlag() {

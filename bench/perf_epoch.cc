@@ -8,8 +8,9 @@
 // README "Performance" section); BENCH_epoch.json at the repo root is the
 // recorded baseline from a full run at N=512 / Q=64. The harness also
 // verifies, via a global allocation counter, that the Vivaldi update, the
-// KNearest and id-only sphere-walk index queries, Chord lookups and
-// relaxation placement are heap-free per call in steady state.
+// KNearest and id-only sphere-walk index queries, Chord lookups,
+// relaxation placement and TickNetwork (on the engine's own fabric, dense
+// and sparse) are heap-free per call in steady state.
 //
 // Flags: --smoke (tiny sweep), --json=PATH, --nodes=N, --queries=Q,
 // --epochs=E, --epsilon=X (refresh displacement threshold, cost-space
@@ -18,8 +19,9 @@
 // orphaned queries under their original handles), --threads=T (worker
 // threads for the epoch pipeline's parallel stages; T=0 defers to the
 // SBON_EPOCH_THREADS environment variable exactly like the engine API;
-// results are bit-identical at any T), --fabric=auto|dense|sparse (latency
-// substrate backend; see README "Architecture"), --exec=oracle|message
+// results are bit-identical at any T), --fabric=auto|dense|sparse (the
+// fabric's base-latency source; see README "The fabric"),
+// --exec=oracle|message
 // (coordinate/ring maintenance execution for the engine-loop sections; see
 // README "Execution modes"), --faults=LOSS,DUP[,JITTER_MS] (fault rates of
 // the chaos section's injection plan; defaults 0.10,0.05,0), --kernels
@@ -37,13 +39,14 @@
 // a time-sliced run produces; the CI release-perf lane regenerates the
 // JSON on multi-core runners.
 //
-// The `sparse` section measures the generative sparse fabric backend at two
-// sizes (N/5 and N): overlay bring-up, a TickNetwork-only epoch (O(1) on
-// this backend), a full maintenance epoch (tick + load + 1 Vivaldi sample
-// per node + dirty refresh), and the largest single heap allocation, which
-// must stay far below an N x N matrix — that flat-memory guarantee is the
-// whole point of the backend. Above 4096 nodes the engine-loop sections are
-// skipped (they exist to track the dense-scale baseline) and the binary
+// The `sparse` section measures the fabric's on-demand base sources at two
+// sizes (N/5 and N): overlay bring-up, a TickNetwork-only epoch, a full
+// maintenance epoch (tick + load + 1 Vivaldi sample per node + dirty
+// refresh) with its on-demand Dijkstra row builds, and the largest single
+// heap allocation, which must stay far below an N x N matrix — that
+// flat-memory guarantee is the whole point of the on-demand sources. Above
+// 4096 nodes the engine-loop sections are skipped (they exist to track the
+// dense-scale baseline) and the binary
 // runs the sparse scaling section only, which is what lets
 // `--fabric=sparse --nodes=100000 --smoke` complete in minutes.
 //
@@ -83,7 +86,7 @@
 #include "msg/message.h"
 #include "net/churn.h"
 #include "net/shortest_path.h"
-#include "net/sparse_fabric.h"
+#include "net/fabric.h"
 #include "overlay/circuit.h"
 #include "placement/relaxation.h"
 #include "query/enumerate.h"
@@ -471,12 +474,13 @@ MessageModeResult RunMessageSection(
 struct SparseScalePoint {
   size_t nodes = 0;           // actual node count of the built topology
   double bringup_ms = 0.0;    // Sbon::Create (fabric + Vivaldi + index)
-  double tick_ns = 0.0;       // TickNetwork-only epoch (O(1) on sparse)
+  double tick_ns = 0.0;       // TickNetwork-only epoch (an O(1) seed swap)
   double maint_ns = 0.0;      // tick + load + 1 Vivaldi sample + refresh
   size_t max_alloc = 0;       // largest single heap allocation in the run
   const char* base_mode = ""; // "exact" / "sketch"
   size_t landmarks = 0;
   size_t row_builds = 0;      // on-demand Dijkstra rows computed
+  double row_builds_per_epoch = 0.0;  // during the maintenance epochs
   double neighbor_hit_rate = 0.0;
 };
 
@@ -510,6 +514,8 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
   for (size_t e = 0; e < epochs; ++e) sbon.TickNetwork();
   out.tick_ns = NsSince(tick_start) / static_cast<double>(epochs);
 
+  const net::NetworkFabric& fabric = sbon.fabric();
+  const size_t builds_before = fabric.cache_stats().row_builds;
   const Clock::time_point maint_start = Clock::now();
   for (size_t e = 0; e < epochs; ++e) {
     sbon.TickNetwork();
@@ -520,19 +526,53 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
   out.maint_ns = NsSince(maint_start) / static_cast<double>(epochs);
   out.max_alloc = g_max_alloc_size;
 
-  const auto* fabric =
-      dynamic_cast<const net::SparseFabric*>(&sbon.fabric());
-  if (fabric != nullptr) {
-    out.base_mode = fabric->exact_base() ? "exact" : "sketch";
-    out.landmarks = fabric->num_landmarks();
-    const auto& stats = fabric->cache_stats();
-    out.row_builds = stats.row_builds;
-    out.neighbor_hit_rate =
-        stats.base_reads > 0
-            ? static_cast<double>(stats.neighbor_hits) /
-                  static_cast<double>(stats.base_reads)
-            : 0.0;
+  out.base_mode = fabric.exact_base() ? "exact" : "sketch";
+  out.landmarks = fabric.num_landmarks();
+  const auto& stats = fabric.cache_stats();
+  out.row_builds = stats.row_builds;
+  out.row_builds_per_epoch =
+      static_cast<double>(stats.row_builds - builds_before) /
+      static_cast<double>(epochs);
+  out.neighbor_hit_rate =
+      stats.base_reads > 0
+          ? static_cast<double>(stats.neighbor_hits) /
+                static_cast<double>(stats.base_reads)
+          : 0.0;
+  return out;
+}
+
+// Steady-state cost of one TickNetwork on the engine's own fabric (jitter
+// sigma 0.1, the bench default) under `mode`: allocations (must be 0) and
+// wall time per tick (O(1) at every N: one Rng draw).
+struct TickAudit {
+  double allocs_per_tick = 0.0;
+  double tick_ns = 0.0;
+};
+
+TickAudit MeasureTick(size_t nodes, overlay::Sbon::FabricMode mode) {
+  // Built directly (not through MakeTransitStubEngine) so --fabric cannot
+  // override the mode under audit.
+  engine::EngineOptions opts;
+  opts.topology = bench::MakeTransitStubTopology(nodes, /*seed=*/7);
+  opts.sbon.seed = 7;
+  opts.sbon.latency_jitter_sigma = 0.1;
+  opts.sbon.fabric_mode = mode;
+  auto eng = engine::StreamEngine::Create(std::move(opts));
+  if (!eng.ok()) {
+    std::fprintf(stderr, "tick-audit engine creation failed: %s\n",
+                 eng.status().ToString().c_str());
+    std::abort();
   }
+  overlay::Sbon& sbon = (*eng)->sbon();
+  for (int i = 0; i < 16; ++i) sbon.TickNetwork();  // warm-up
+  constexpr size_t kTicks = 100000;
+  const uint64_t before = g_alloc_count;
+  const Clock::time_point start = Clock::now();
+  for (size_t i = 0; i < kTicks; ++i) sbon.TickNetwork();
+  TickAudit out;
+  out.tick_ns = NsSince(start) / static_cast<double>(kTicks);
+  out.allocs_per_tick = static_cast<double>(g_alloc_count - before) /
+                        static_cast<double>(kTicks);
   return out;
 }
 
@@ -972,6 +1012,7 @@ int main(int argc, char** argv) {
   bool bit_identical = true;
   double vivaldi_allocs = 0.0, knearest_allocs = 0.0, lookup_allocs = 0.0,
          sphere_allocs = 0.0, relax_allocs = 0.0;
+  sbon::TickAudit tick_dense, tick_sparse;
   sbon::KernelBenchResult kb_vivaldi, kb_knearest, kb_costeval;
   const bool kernels_detail = sbon::HasFlag(argc, argv, "--kernels");
   const size_t hw_threads = std::max(1u, std::thread::hardware_concurrency());
@@ -1058,6 +1099,10 @@ int main(int argc, char** argv) {
     lookup_allocs = sbon::MeasureChordLookupAllocs(*audit_sbon);
     sphere_allocs = sbon::MeasureSphereWalkAllocs(*audit_sbon);
     relax_allocs = sbon::MeasureRelaxationAllocs(*audit_sbon);
+    tick_dense = sbon::MeasureTick(sbon::bench::Nodes(200),
+                                   sbon::overlay::Sbon::FabricMode::kDense);
+    tick_sparse = sbon::MeasureTick(sbon::bench::Nodes(200),
+                                    sbon::overlay::Sbon::FabricMode::kSparse);
     std::printf("allocs/VivaldiSystem::Update   = %g (want 0)\n",
                 vivaldi_allocs);
     std::printf("allocs/KNearestInto            = %g (want 0)\n",
@@ -1068,15 +1113,21 @@ int main(int argc, char** argv) {
                 sphere_allocs);
     std::printf("allocs/RelaxationPlacer::Place = %g (want 0)\n",
                 relax_allocs);
+    std::printf("allocs/TickNetwork dense       = %g (want 0)  %.1f ns/tick\n",
+                tick_dense.allocs_per_tick, tick_dense.tick_ns);
+    std::printf("allocs/TickNetwork sparse      = %g (want 0)  %.1f ns/tick\n",
+                tick_sparse.allocs_per_tick, tick_sparse.tick_ns);
     if (vivaldi_allocs != 0.0 || knearest_allocs != 0.0 ||
         lookup_allocs != 0.0 || sphere_allocs != 0.0 ||
-        relax_allocs != 0.0) {
+        relax_allocs != 0.0 || tick_dense.allocs_per_tick != 0.0 ||
+        tick_sparse.allocs_per_tick != 0.0) {
       std::fprintf(stderr,
                    "FAIL: hot loops allocate (vivaldi=%g knearest=%g "
-                   "lookup=%g sphere=%g relaxation=%g; -1 = nothing "
-                   "measured)\n",
+                   "lookup=%g sphere=%g relaxation=%g tick_dense=%g "
+                   "tick_sparse=%g; -1 = nothing measured)\n",
                    vivaldi_allocs, knearest_allocs, lookup_allocs,
-                   sphere_allocs, relax_allocs);
+                   sphere_allocs, relax_allocs, tick_dense.allocs_per_tick,
+                   tick_sparse.allocs_per_tick);
       return 1;
     }
 
@@ -1254,7 +1305,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  sbon::bench::Section("Sparse fabric scaling (generative substrate)");
+  sbon::bench::Section("Sparse fabric scaling (on-demand base sources)");
   const size_t sparse_epochs = smoke ? 4 : 8;
   const size_t small_target = std::max<size_t>(100, nodes / 5);
   const auto sp_small = sbon::RunSparsePoint(small_target, 42, sparse_epochs);
@@ -1264,11 +1315,11 @@ int main(int argc, char** argv) {
   for (const auto* p : {&sp_small, &sp_full}) {
     std::printf(
         "N=%-7zu  bringup %8.1f ms  tick %10.0f ns  maint %12.0f ns\n"
-        "           base=%s landmarks=%zu row_builds=%zu nbr_hit=%.0f%% "
-        "max_alloc=%zu B\n",
+        "           base=%s landmarks=%zu row_builds=%zu (%.1f/epoch) "
+        "nbr_hit=%.0f%% max_alloc=%zu B\n",
         p->nodes, p->bringup_ms, p->tick_ns, p->maint_ns, p->base_mode,
-        p->landmarks, p->row_builds, 100.0 * p->neighbor_hit_rate,
-        p->max_alloc);
+        p->landmarks, p->row_builds, p->row_builds_per_epoch,
+        100.0 * p->neighbor_hit_rate, p->max_alloc);
     if (p == &sp_full && nodes <= small_target) break;
   }
   // The scaling exponent is only meaningful when both points exercise the
@@ -1287,9 +1338,9 @@ int main(int argc, char** argv) {
                          static_cast<double>(sp_small.nodes))
           : 0.0;
   // The flat-memory acceptance gate: no single allocation anywhere near an
-  // N x N double matrix (or the N(N+1)/2 jitter triangle) may happen while
-  // the sparse backend runs. Only meaningful once quadratic buffers dwarf
-  // the backend's legitimate O(N) arrays (a few hundred bytes per node);
+  // N x N double matrix (or an N(N+1)/2 triangle) may happen while an
+  // on-demand source runs. Only meaningful once quadratic buffers dwarf
+  // its legitimate O(N) arrays (a few hundred bytes per node);
   // below ~512 nodes the two regimes overlap and the dense-vs-sparse
   // equivalence test owns the precise assertion.
   bool sparse_mem_flat = true;
@@ -1357,6 +1408,10 @@ int main(int argc, char** argv) {
           "  \"allocs_per_chord_lookup\": %g,\n"
           "  \"allocs_per_sphere_walk\": %g,\n"
           "  \"allocs_per_relaxation_place\": %g,\n"
+          "  \"tick\": {\n"
+          "    \"dense\": {\"allocs_per_tick\": %g, \"tick_ns\": %.1f},\n"
+          "    \"sparse\": {\"allocs_per_tick\": %g, \"tick_ns\": %.1f}\n"
+          "  },\n"
           "  \"parallel\": {\n"
           "    \"hw_threads\": %zu,\n"
           "    \"threads\": %zu,\n"
@@ -1382,7 +1437,9 @@ int main(int argc, char** argv) {
           primary.refresh.republished, primary.refresh.skipped,
           primary.refresh.quiet_refreshes, primary.refresh.refreshes,
           vivaldi_allocs, knearest_allocs, lookup_allocs, sphere_allocs,
-          relax_allocs, hw_threads, par_threads,
+          relax_allocs, tick_dense.allocs_per_tick, tick_dense.tick_ns,
+          tick_sparse.allocs_per_tick, tick_sparse.tick_ns, hw_threads,
+          par_threads,
           pipe1.ns_per_epoch, pipeN.ns_per_epoch, speedup_buf,
           speedup_measurable ? "ok" : "skipped-single-core",
           bit_identical ? "true" : "false", churn_rate, churned.ns_per_epoch,
@@ -1447,11 +1504,12 @@ int main(int argc, char** argv) {
                    "      \"base_mode\": \"%s\",\n"
                    "      \"landmarks\": %zu,\n"
                    "      \"row_builds\": %zu,\n"
+                   "      \"row_builds_per_epoch\": %.1f,\n"
                    "      \"neighbor_hit_rate\": %.3f\n"
                    "    }",
                    key, p.nodes, p.bringup_ms, p.tick_ns, p.maint_ns,
                    p.max_alloc, p.base_mode, p.landmarks, p.row_builds,
-                   p.neighbor_hit_rate);
+                   p.row_builds_per_epoch, p.neighbor_hit_rate);
     };
     {
       const sbon::msg::TrafficSummary& t = msg1.summary;

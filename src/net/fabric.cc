@@ -1,7 +1,8 @@
 #include "net/fabric.h"
 
 #include <limits>
-#include <utility>
+
+#include "net/dynamics.h"
 
 namespace sbon::net {
 
@@ -9,27 +10,67 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-NetworkFabric::NetworkFabric(const Topology& topo, double jitter_sigma,
-                             Rng* rng)
-    : n_(topo.NumNodes()) {
-  base_ = std::make_unique<LatencyMatrix>(topo);
-  live_ = std::make_unique<LatencyMatrix>(*base_);
-  down_.assign(n_, 0);
-  if (jitter_sigma > 0.0) {
-    jitter_ = std::make_unique<LatencyJitter>(n_, jitter_sigma, rng);
+NetworkFabric::BaseSource NetworkFabric::OnDemandSource(
+    size_t num_nodes, const SparseOptions& options) {
+  switch (options.base_mode) {
+    case SparseOptions::BaseMode::kExact:
+      return BaseSource::kExactRows;
+    case SparseOptions::BaseMode::kSketch:
+      return BaseSource::kSketch;
+    case SparseOptions::BaseMode::kAuto:
+      break;
   }
+  return num_nodes <= options.exact_threshold ? BaseSource::kExactRows
+                                              : BaseSource::kSketch;
 }
 
-void NetworkFabric::TickNetwork(Rng* rng, ThreadPool* pool) {
-  if (jitter_ == nullptr) return;
-  jitter_->Resample(rng, pool);
-  jitter_->ApplyAll(*base_, live_.get(), pool);
+NetworkFabric::NetworkFabric(const Topology& topo, double jitter_sigma,
+                             Rng* rng, BaseSource source,
+                             const SparseOptions& options)
+    : n_(topo.NumNodes()),
+      sigma_(jitter_sigma),
+      source_(source),
+      options_(options),
+      live_view_(this, /*live=*/true),
+      base_view_(this, /*live=*/false) {
+  down_.assign(n_, 0);
+  switch (source_) {
+    case BaseSource::kMatrix:
+      matrix_ = std::make_unique<LatencyMatrix>(topo);
+      break;
+    case BaseSource::kExactRows: {
+      topo_ = std::make_unique<const Topology>(topo);
+      const size_t rows = options_.row_cache_rows < n_
+                              ? options_.row_cache_rows
+                              : n_;
+      row_cache_.resize(rows < 1 ? 1 : rows);
+      break;
+    }
+    case BaseSource::kSketch:
+      PlaceLandmarks(topo);
+      break;
+  }
+  if (source_ != BaseSource::kMatrix && options_.neighbor_cache_slots > 0) {
+    neighbor_cache_.resize(n_ * options_.neighbor_cache_slots);
+  }
+  // The construction epoch's seed: exactly one draw iff jitter is attached.
+  if (sigma_ > 0.0) epoch_seed_ = rng->Next();
+  RefreshPlainReads();
+}
+
+void NetworkFabric::RefreshPlainReads() {
+  const double* m = matrix_ != nullptr ? matrix_->data() : nullptr;
+  base_view_.plain_ = m;
+  const bool composed =
+      jitter_applied_ || partition_active_ || down_count_ > 0;
+  live_view_.plain_ = composed ? nullptr : m;
+}
+
+void NetworkFabric::TickNetwork(Rng* rng) {
+  if (sigma_ <= 0.0) return;
+  epoch_seed_ = rng->Next();
   jitter_applied_ = true;
-  // ApplyAll rebuilt the live matrix from the pristine base, so an active
-  // partition's penalty — and the +inf rows of down endpoints — must be
-  // re-applied on top of the fresh jitter.
-  if (partition_active_) ApplyPartitionToLive(pool);
-  if (down_count_ > 0) ApplyDownToLive();
+  RefreshPlainReads();
 }
 
 Status NetworkFabric::BeginPartition(const std::vector<NodeId>& group,
@@ -50,25 +91,20 @@ Status NetworkFabric::BeginPartition(const std::vector<NodeId>& group,
   }
   partition_active_ = true;
   partition_factor_ = factor;
-  ApplyPartitionToLive(nullptr);
+  RefreshPlainReads();
   return Status::OK();
 }
 
-Status NetworkFabric::EndPartition(ThreadPool* pool) {
+Status NetworkFabric::EndPartition() {
   if (!partition_active_) {
     return Status::FailedPrecondition("no active partition");
   }
   partition_active_ = false;
-  // Restore the live matrix: current jitter factors over the pristine base
-  // (EndPartition is not a new congestion epoch, so no resample), or the
-  // base itself on a jitter-free overlay.
-  if (jitter_ != nullptr) {
-    jitter_->ApplyAll(*base_, live_.get(), pool);
-    jitter_applied_ = true;
-  } else {
-    *live_ = *base_;
-  }
-  if (down_count_ > 0) ApplyDownToLive();
+  // Healing restores "current jitter over base": on a jittered fabric that
+  // is the current epoch's factors even when the network was never ticked,
+  // so from here on live reads compose jitter.
+  if (sigma_ > 0.0) jitter_applied_ = true;
+  RefreshPlainReads();
   return Status::OK();
 }
 
@@ -77,87 +113,110 @@ void NetworkFabric::SetEndpointDown(NodeId n, bool down) {
   down_[n] = down ? 1 : 0;
   if (down) {
     ++down_count_;
-    double* m = live_->MutableData();
-    for (size_t b = 0; b < n_; ++b) {
-      m[static_cast<size_t>(n) * n_ + b] = kInf;
-      m[b * n_ + n] = kInf;
-    }
   } else {
     --down_count_;
-    RestoreRow(n);
   }
+  RefreshPlainReads();
 }
 
-void NetworkFabric::ApplyDownToLive() {
-  double* m = live_->MutableData();
-  for (NodeId n = 0; n < n_; ++n) {
-    if (!down_[n]) continue;
-    for (size_t b = 0; b < n_; ++b) {
-      m[static_cast<size_t>(n) * n_ + b] = kInf;
-      m[b * n_ + n] = kInf;
-    }
+double NetworkFabric::LiveLatency(NodeId a, NodeId b) const {
+  if (down_[a] || down_[b]) return kInf;
+  double v;
+  if (jitter_applied_ && a != b) {
+    // Both argument orders resolve through row min(a, b): one value per
+    // pair, whichever way it is read.
+    const NodeId lo = a < b ? a : b;
+    const NodeId hi = a < b ? b : a;
+    v = Base(lo, hi) *
+        JitterFactorAt(epoch_seed_, sigma_, JitterPairIndex(lo, hi, n_));
+  } else {
+    v = Base(a, b);
   }
+  if (CrossesPartition(a, b)) v *= partition_factor_;
+  return v;
 }
 
-void NetworkFabric::RestoreRow(NodeId n) {
-  double* m = live_->MutableData();
-  for (size_t b = 0; b < n_; ++b) {
-    if (down_[b]) {
-      m[static_cast<size_t>(n) * n_ + b] = kInf;
-      m[b * n_ + n] = kInf;
-      continue;
+double NetworkFabric::Base(NodeId row, NodeId col) const {
+  if (matrix_ != nullptr) return matrix_->Latency(row, col);
+  if (row == col) return 0.0;
+  return CachedBase(row, col);
+}
+
+double NetworkFabric::CachedBase(NodeId row, NodeId col) const {
+  ++stats_.base_reads;
+  const bool exact = source_ == BaseSource::kExactRows;
+  const size_t slots = options_.neighbor_cache_slots;
+  if (slots == 0) return exact ? RowFor(row)[col] : SketchBase(row, col);
+  NeighborSlot& slot =
+      neighbor_cache_[static_cast<size_t>(row) * slots + col % slots];
+  if (slot.peer == col) {
+    ++stats_.neighbor_hits;
+    return slot.value;
+  }
+  const double v = exact ? RowFor(row)[col] : SketchBase(row, col);
+  slot.peer = col;
+  slot.value = v;
+  return v;
+}
+
+double NetworkFabric::SketchBase(NodeId a, NodeId b) const {
+  // Symmetric in (a, b): addition is commutative and the landmark walk
+  // order is fixed, so both argument orders see identical fp ops.
+  double best = kInf;
+  for (const std::vector<double>& row : landmark_rows_) {
+    const double via = row[a] + row[b];
+    if (via < best) best = via;
+  }
+  return best;
+}
+
+const std::vector<double>& NetworkFabric::RowFor(NodeId row) const {
+  CachedRow* victim = &row_cache_[0];
+  for (CachedRow& c : row_cache_) {
+    if (c.row == row) {
+      ++stats_.row_hits;
+      c.stamp = ++row_stamp_;
+      return c.dist;
     }
-    if (b == n) {
-      // Diagonal entries are copied through unjittered (see ApplyAll).
-      m[static_cast<size_t>(n) * n_ + n] = base_->Latency(n, n);
-      continue;
-    }
-    const NodeId nb = static_cast<NodeId>(b);
-    const bool crosses = CrossesPartition(n, nb);
-    if (jitter_ != nullptr && jitter_applied_) {
-      // ApplyAll writes both mirrors of a pair from the *upper-triangle*
-      // base entry times the symmetric factor; replay exactly that product
-      // so a revived row is bit-identical to never having crashed. The base
-      // mirrors themselves can differ in the last ulp (per-source Dijkstra
-      // accumulates the path sum in opposite orders), so resolving through
-      // base(n, b) here would leave a permanent one-ulp scar.
-      const NodeId lo = n < nb ? n : nb;
-      const NodeId hi = n < nb ? nb : n;
-      double v = jitter_->Apply(lo, hi, base_->Latency(lo, hi));
-      if (crosses) v *= partition_factor_;
-      m[static_cast<size_t>(n) * n_ + b] = v;
-      m[b * n_ + n] = v;
-    } else {
-      // A jitter-free live matrix is a plain copy of the base, whose mirror
-      // entries are independent; restore each side from its own base entry.
-      double va = base_->Latency(n, nb);
-      double vb = base_->Latency(nb, n);
-      if (crosses) {
-        va *= partition_factor_;
-        vb *= partition_factor_;
+    if (c.stamp < victim->stamp) victim = &c;
+  }
+  ++stats_.row_builds;
+  victim->dist = DijkstraLatencies(*topo_, row);
+  victim->row = row;
+  victim->stamp = ++row_stamp_;
+  return victim->dist;
+}
+
+void NetworkFabric::PlaceLandmarks(const Topology& topo) {
+  // Deterministic farthest-point traversal from node 0: each new landmark is
+  // the node farthest (first-index tie-break) from the landmark set so far.
+  // No Rng involved — placement must not perturb the caller's draw sequence.
+  const size_t want =
+      options_.num_landmarks < 1
+          ? 1
+          : (options_.num_landmarks < n_ ? options_.num_landmarks : n_);
+  landmarks_.reserve(want);
+  landmark_rows_.reserve(want);
+  std::vector<double> min_dist(n_, kInf);
+  NodeId next = 0;
+  for (size_t k = 0; k < want; ++k) {
+    landmarks_.push_back(next);
+    landmark_rows_.push_back(DijkstraLatencies(topo, next));
+    const std::vector<double>& row = landmark_rows_.back();
+    NodeId farthest = kInvalidNode;
+    double far_d = -1.0;
+    for (NodeId i = 0; i < n_; ++i) {
+      if (row[i] < min_dist[i]) min_dist[i] = row[i];
+      // Unreachable nodes (inf) are the farthest of all: the next landmark
+      // lands in their component and covers it.
+      if (min_dist[i] > far_d && min_dist[i] > 0.0) {
+        far_d = min_dist[i];
+        farthest = i;
       }
-      m[static_cast<size_t>(n) * n_ + b] = va;
-      m[b * n_ + n] = vb;
     }
+    if (farthest == kInvalidNode || far_d == 0.0) break;  // n small: covered
+    next = farthest;
   }
-}
-
-void NetworkFabric::ApplyPartitionToLive(ThreadPool* pool) {
-  double* m = live_->MutableData();
-  // Each cross-cut entry is multiplied by the factor exactly once whether
-  // the walk is the serial triangle (both mirror entries per pair) or the
-  // row-sharded full sweep, so the result is identical either way.
-  ParallelSlices(pool, n_, [&](size_t row_begin, size_t row_end) {
-    for (size_t a = row_begin; a < row_end; ++a) {
-      const bool side = partitioned_[a];
-      double* row = m + a * n_;
-      for (size_t b = 0; b < n_; ++b) {
-        if (side != static_cast<bool>(partitioned_[b])) {
-          row[b] *= partition_factor_;
-        }
-      }
-    }
-  });
 }
 
 }  // namespace sbon::net

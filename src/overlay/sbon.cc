@@ -7,7 +7,8 @@ namespace sbon::overlay {
 
 namespace {
 // Shared by Create (validation) and Initialize (construction) so the two
-// can never disagree on which backend an Options/topology pair resolves to.
+// can never disagree on which base source an Options/topology pair resolves
+// to: the dense matrix, or one of the on-demand sources.
 bool ResolvesToSparseFabric(const Sbon::Options& options, size_t num_nodes) {
   return options.fabric_mode == Sbon::FabricMode::kSparse ||
          (options.fabric_mode == Sbon::FabricMode::kAuto &&
@@ -61,15 +62,15 @@ Status Sbon::Initialize() {
   // Substrate bring-up order is load-bearing: each step consumes the shared
   // Rng in the exact sequence the monolithic Initialize always did (jitter
   // seed, Vivaldi gossip, ambient load), so fixed-seed overlays are
-  // bit-identical across the decomposition — and across fabric backends,
-  // whose constructors share the same one-draw-iff-jitter contract.
-  if (ResolvesToSparseFabric(options_, n)) {
-    fabric_ = std::make_unique<net::SparseFabric>(
-        topo_, options_.latency_jitter_sigma, &rng_, options_.sparse_options);
-  } else {
-    fabric_ = std::make_unique<net::NetworkFabric>(
-        topo_, options_.latency_jitter_sigma, &rng_);
-  }
+  // bit-identical across the decomposition — and across base sources, since
+  // the fabric draws once iff jitter is attached whatever its source.
+  const net::NetworkFabric::BaseSource source =
+      ResolvesToSparseFabric(options_, n)
+          ? net::NetworkFabric::OnDemandSource(n, options_.sparse_options)
+          : net::NetworkFabric::BaseSource::kMatrix;
+  fabric_ = std::make_unique<net::NetworkFabric>(
+      topo_, options_.latency_jitter_sigma, &rng_, source,
+      options_.sparse_options);
 
   coords::CoordinateManager::Params cp;
   cp.spec = options_.space_spec;
@@ -226,7 +227,7 @@ void Sbon::Tick(double dt) {
   UpdateScalarMetrics();
 }
 
-void Sbon::TickNetwork(ThreadPool* pool) { fabric_->TickNetwork(&rng_, pool); }
+void Sbon::TickNetwork() { fabric_->TickNetwork(&rng_); }
 
 void Sbon::UpdateCoordinatesOnline(size_t samples_per_node, ThreadPool* pool) {
   coords_->UpdateCoordinatesOnline(fabric_->live(), samples_per_node, alive_,

@@ -15,7 +15,6 @@
 #include "net/dynamics.h"
 #include "net/fabric.h"
 #include "net/shortest_path.h"
-#include "net/sparse_fabric.h"
 #include "net/topology.h"
 #include "overlay/circuit.h"
 #include "overlay/metrics.h"
@@ -32,10 +31,11 @@ using IndexRefreshStats = coords::IndexRefreshStats;
 /// against. A thin composition root wiring three independently ownable
 /// substrates behind one facade:
 ///
-///  - a net::FabricBackend — pristine + live latency views, per-epoch
+///  - a net::NetworkFabric — pristine + live latency views, per-epoch
 ///    congestion jitter, soft-partition overlay (the TickNetwork path).
-///    Dense (materialized matrices) by default; the sparse generative
-///    backend takes over above Options::sparse_auto_threshold nodes;
+///    Its base latencies come from a dense matrix by default; on-demand
+///    rows or a landmark sketch take over above
+///    Options::sparse_auto_threshold nodes;
 ///  - coords::CoordinateManager — Vivaldi/MDS embedding, cost space,
 ///    coordinate index, dirty-coordinate tracking, epsilon-gated refresh;
 ///  - overlay::ServiceLedger — circuits, service instances, reuse catalog,
@@ -55,11 +55,11 @@ class Sbon {
   /// aliased for source compatibility with `Sbon::CoordMode::...`).
   using CoordMode = coords::CoordMode;
 
-  /// Which latency-substrate representation backs the overlay.
+  /// Which base-latency source backs the overlay's net::NetworkFabric.
   enum class FabricMode {
     kAuto,    ///< dense up to sparse_auto_threshold nodes, sparse above
-    kDense,   ///< force materialized O(n^2) matrices (net::NetworkFabric)
-    kSparse,  ///< force the generative O(n) backend (net::SparseFabric)
+    kDense,   ///< force the materialized O(n^2) base matrix
+    kSparse,  ///< force an on-demand source (exact rows or landmark sketch)
   };
 
   struct Options {
@@ -75,22 +75,22 @@ class Sbon {
     /// Must be > 0 (validated at Create).
     double load_per_byte_per_s = 2e-6;
     /// Sigma of the multiplicative (approximately LogNormal; see
-    /// net::LatencyJitter) latency jitter applied per pair on every
+    /// net::JitterFactorAt) latency jitter applied per pair on every
     /// `TickNetwork` epoch (0 = static latencies). Must be >= 0 (validated
     /// at Create).
     double latency_jitter_sigma = 0.0;
-    /// Latency-substrate backend selection. kAuto keeps the dense matrices
-    /// (exact, O(1) reads) up to `sparse_auto_threshold` nodes and switches
-    /// to the sparse generative backend above it — the size where two
-    /// N x N double matrices start crowding out everything else. The sparse
-    /// backend requires Vivaldi coordinates (validated at Create): the MDS /
+    /// Base-latency source selection. kAuto keeps the dense matrix (exact,
+    /// one load per read) up to `sparse_auto_threshold` nodes and switches
+    /// to an on-demand source above it — the size where an N x N double
+    /// matrix starts crowding out everything else. The on-demand sources
+    /// require Vivaldi coordinates (validated at Create): the MDS /
     /// true-coordinate ablations are centralized O(n^2) solves that need a
     /// dense matrix anyway.
     FabricMode fabric_mode = FabricMode::kAuto;
     size_t sparse_auto_threshold = 4096;
-    /// Tuning of the sparse backend when it is selected (exact-vs-sketch
-    /// threshold, landmark count, cache geometry). Ignored by the dense one.
-    net::SparseFabric::Options sparse_options;
+    /// Tuning of the on-demand sources when one is selected (exact-vs-sketch
+    /// threshold, landmark count, cache geometry). Ignored by the matrix.
+    net::SparseOptions sparse_options;
     uint64_t seed = 1;
   };
 
@@ -105,7 +105,7 @@ class Sbon {
 
   // --- substrate accessors ---
   const net::Topology& topology() const { return topo_; }
-  const net::FabricBackend& fabric() const { return *fabric_; }
+  const net::NetworkFabric& fabric() const { return *fabric_; }
   const coords::CoordinateManager& coords() const { return *coords_; }
   /// Mutable coordinate substrate, for the message-mode runtime
   /// (msg::Runtime) whose agents drive Vivaldi updates and ring publishes
@@ -149,8 +149,8 @@ class Sbon {
   Status RestoreEndpoint(NodeId n);
   /// Soft link partition: multiplies the live latency of every pair that
   /// crosses the cut (`group` vs. the rest) by `factor` until EndPartition.
-  /// One partition may be active at a time; the penalty re-applies on every
-  /// TickNetwork on top of fresh jitter.
+  /// One partition may be active at a time; the penalty composes on top of
+  /// every epoch's fresh jitter.
   Status BeginPartition(const std::vector<NodeId>& group, double factor);
   /// Heals the active partition, restoring jittered (or base) latencies.
   Status EndPartition();
@@ -201,12 +201,11 @@ class Sbon {
   // --- dynamics (the engine's epoch-pipeline stages) ---
   /// Advances ambient load by `dt` and refreshes cost-space scalar metrics.
   void Tick(double dt);
-  /// Starts a new latency epoch: resamples pairwise jitter factors (when
-  /// `latency_jitter_sigma > 0`) and rewrites the live latency matrix.
-  /// Everything downstream — circuit costs, reopt, Vivaldi samples — sees
-  /// the new latencies immediately. `pool` shards the O(n^2) factor
-  /// generation and matrix rewrite by row.
-  void TickNetwork(ThreadPool* pool = nullptr);
+  /// Starts a new latency epoch (when `latency_jitter_sigma > 0`): one
+  /// draw from the shared Rng seeds this epoch's pairwise jitter factors.
+  /// Everything downstream — circuit costs, reopt, Vivaldi samples — reads
+  /// the new latencies immediately. O(1): factors are derived at read time.
+  void TickNetwork();
   /// Online coordinate maintenance: every node takes `samples_per_node`
   /// RTT measurements against the *current* (jittered) latencies and runs
   /// Vivaldi updates, then the cost space is refreshed. No-op when the
@@ -257,7 +256,7 @@ class Sbon {
   net::Topology topo_;
   Options options_;
   Rng rng_;
-  std::unique_ptr<net::FabricBackend> fabric_;
+  std::unique_ptr<net::NetworkFabric> fabric_;
   std::unique_ptr<coords::CoordinateManager> coords_;
   std::unique_ptr<ServiceLedger> ledger_;
   std::unique_ptr<net::LoadModel> load_model_;

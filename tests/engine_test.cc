@@ -281,12 +281,13 @@ TEST(StreamEngine, AdvanceEpochRecordsTheStagedPipeline) {
   for (const auto& stage : trace) EXPECT_FALSE(stage.sharded);
 
   // Multi-threaded epoch: exactly the parallelizable stages shard; the
-  // serial-only stages (load, churn+repair) never see the pool.
+  // serial-only stages (jitter, an O(1) seed swap; load; churn+repair)
+  // never see the pool.
   epoch.threads = 4;
   engine->AdvanceEpoch(epoch);
   const auto& sharded = engine->last_epoch_trace();
   ASSERT_EQ(sharded.size(), 5u);
-  EXPECT_TRUE(sharded[0].sharded);   // jitter
+  EXPECT_FALSE(sharded[0].sharded);  // jitter
   EXPECT_FALSE(sharded[1].sharded);  // load
   EXPECT_TRUE(sharded[2].sharded);   // coords
   EXPECT_FALSE(sharded[3].sharded);  // churn+repair (disabled anyway)

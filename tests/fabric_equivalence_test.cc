@@ -2,13 +2,13 @@
 // N in {64, 512}, a full engine bring-up plus maintenance epochs must end
 // BIT-IDENTICAL across backends — live latencies, Vivaldi coordinates,
 // scalar penalties, and every placed circuit vertex. This is the contract
-// that lets the sparse backend slide in behind the FabricBackend seam
+// that lets an on-demand base source stand in for the dense matrix
 // without invalidating a single golden or determinism pin.
 //
 // The binary also audits the sparse backend's memory claim through a
 // counting operator new: while the sparse overlay is built and driven, no
 // single heap allocation may come anywhere near an N x N latency matrix
-// (or the N(N+1)/2 dense jitter triangle).
+// (or an N(N+1)/2 triangle).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,7 @@
 #include "engine/stream_engine.h"
 #include "harness/fixtures.h"
 #include "net/generators.h"
-#include "net/sparse_fabric.h"
+#include "net/fabric.h"
 
 namespace {
 size_t g_max_alloc_size = 0;

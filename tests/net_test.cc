@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/dynamics.h"
@@ -360,40 +361,66 @@ TEST(LoadModelTest, SetLoadClamps) {
   EXPECT_DOUBLE_EQ(m.load(0), 0.0);
 }
 
+// Jitter factors are counter-based: a pair's factor is a pure function of
+// (epoch seed, sigma, JitterPairIndex(lo, hi, n)), which is what lets the
+// fabric start an epoch in O(1) and derive factors at read time.
+
 TEST(LatencyJitterTest, SymmetricFactors) {
+  // JitterPairIndex numbers the upper triangle (diagonal included) densely:
+  // every unordered pair gets exactly one counter, so (a, b) and (b, a)
+  // share a factor and distinct pairs never alias.
+  constexpr size_t kN = 20;
+  std::vector<int> hits(kN * (kN + 1) / 2, 0);
+  for (NodeId a = 0; a < kN; ++a) {
+    for (NodeId b = a; b < kN; ++b) {
+      const size_t i = JitterPairIndex(a, b, kN);
+      ASSERT_LT(i, hits.size());
+      ++hits[i];
+    }
+  }
+  for (const int h : hits) EXPECT_EQ(h, 1);
   Rng rng(47);
-  LatencyJitter j(20, 0.2, &rng);
-  for (NodeId a = 0; a < 20; ++a) {
-    for (NodeId b = 0; b < 20; ++b) {
-      EXPECT_DOUBLE_EQ(j.Factor(a, b), j.Factor(b, a));
+  const uint64_t seed = rng.Next();
+  for (NodeId a = 0; a < kN; ++a) {
+    for (NodeId b = a + 1; b < kN; ++b) {
+      const double f = JitterFactorAt(seed, 0.2, JitterPairIndex(a, b, kN));
+      EXPECT_NE(f, 1.0);
+      EXPECT_EQ(f, JitterFactorAt(seed, 0.2, JitterPairIndex(a, b, kN)));
     }
   }
 }
 
 TEST(LatencyJitterTest, ZeroSigmaIsIdentity) {
   Rng rng(53);
-  LatencyJitter j(10, 0.0, &rng);
-  for (NodeId a = 0; a < 10; ++a) {
-    for (NodeId b = 0; b < 10; ++b) {
-      EXPECT_DOUBLE_EQ(j.Apply(a, b, 7.0), 7.0);
-    }
+  const uint64_t seed = rng.Next();
+  for (size_t i = 0; i < 55; ++i) {
+    EXPECT_EQ(7.0 * JitterFactorAt(seed, 0.0, i), 7.0);
   }
 }
 
 TEST(LatencyJitterTest, ResampleChangesFactors) {
   Rng rng(59);
-  LatencyJitter j(10, 0.5, &rng);
-  const double before = j.Factor(1, 2);
-  j.Resample(&rng);
-  EXPECT_NE(before, j.Factor(1, 2));
+  const uint64_t epoch1 = rng.Next();
+  const uint64_t epoch2 = rng.Next();
+  const size_t i = JitterPairIndex(1, 2, 10);
+  EXPECT_NE(JitterFactorAt(epoch1, 0.5, i), JitterFactorAt(epoch2, 0.5, i));
 }
 
 TEST(LatencyJitterTest, FactorsPositive) {
+  // The CLT normal is bounded at +/- 2*sqrt(3) standard deviations, so
+  // factors stay within e^(+/- 2*sqrt(3)*sigma) up to the fast exp's
+  // 1e-5 relative error.
+  constexpr size_t kN = 30;
+  constexpr double kSigma = 0.8;
+  const double bound = std::exp(2.0 * std::sqrt(3.0) * kSigma) * (1.0 + 1e-5);
   Rng rng(61);
-  LatencyJitter j(30, 0.8, &rng);
-  for (NodeId a = 0; a < 30; ++a) {
-    for (NodeId b = a + 1; b < 30; ++b) {
-      EXPECT_GT(j.Factor(a, b), 0.0);
+  const uint64_t seed = rng.Next();
+  for (NodeId a = 0; a < kN; ++a) {
+    for (NodeId b = a + 1; b < kN; ++b) {
+      const double f = JitterFactorAt(seed, kSigma, JitterPairIndex(a, b, kN));
+      EXPECT_GT(f, 0.0);
+      EXPECT_LE(f, bound);
+      EXPECT_GE(f, 1.0 / bound);
     }
   }
 }
