@@ -8,9 +8,12 @@
 // README "Performance" section); BENCH_epoch.json at the repo root is the
 // recorded baseline from a full run at N=512 / Q=64. The harness also
 // verifies, via a global allocation counter, that the Vivaldi update, the
-// KNearest and id-only sphere-walk index queries, Chord lookups,
-// relaxation placement and TickNetwork (on the engine's own fabric, dense
-// and sparse) are heap-free per call in steady state.
+// KNearest and id-only sphere-walk index queries, Chord lookups, ring
+// maintenance (a batched republish plus single-node churn, each followed by
+// Stabilize), Hilbert key derivation, relaxation placement and TickNetwork
+// (on the engine's own fabric, dense and sparse) are heap-free per call in
+// steady state. The engine loops also report exact ring-maintenance work:
+// membership entries spliced and finger lists rebuilt per epoch.
 //
 // Flags: --smoke (tiny sweep), --json=PATH, --nodes=N, --queries=Q,
 // --epochs=E, --epsilon=X (refresh displacement threshold, cost-space
@@ -54,7 +57,10 @@
 // (independent of --nodes): a message-mode engine with a scripted crash
 // burst and partition window, reporting control-traffic volume
 // (bytes/node/epoch, per-protocol messages), ring convergence after the
-// last churn event, placement-staleness percentiles, and a threads=1 vs
+// last churn event, placement-staleness percentiles, the count of ring
+// routes that fell back to a zero-hop local delivery (gated at exactly 0:
+// a route on an unstabilized ring would silently under-bill hops), and a
+// threads=1 vs
 // threads=4 replay check (message stages are serial by contract, so the
 // full run must be bit-identical at any thread count).
 //
@@ -78,6 +84,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/coord_block.h"
 #include "common/kernel_stats.h"
 #include "common/rng.h"
 #include "coords/vivaldi.h"
@@ -143,6 +150,12 @@ struct EpochLoopResult {
   engine::RepairStats repair;          // cumulative (churn_rate > 0 only)
   KernelStatsSnapshot kernels;         // hot-kernel delta across the loop
   size_t epochs = 0;                   // divisor for per-epoch attribution
+  size_t ring_members = 0;             // ring size at the end of the loop
+  // Exact ring-maintenance work per epoch (index refreshes, churn and
+  // install-time refreshes included): membership entries inserted or
+  // removed, and per-member finger lists Stabilize recomputed.
+  double ring_spliced_per_epoch = 0.0;
+  double fingers_rebuilt_per_epoch = 0.0;
 };
 
 // Builds an engine, submits Q queries, then runs E churn epochs. One
@@ -203,6 +216,7 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   engine::ReoptPolicy local_reopt;  // defaults: kLocal
 
   const overlay::IndexRefreshStats before = sbon.index_refresh_stats();
+  const dht::ChordRing::WorkCounters ring_before = sbon.index().ring().work();
   const KernelStatsSnapshot kernels_before = KernelStats::Instance().Snapshot();
   const uint64_t allocs_before = g_alloc_count;
   const Clock::time_point loop_start = Clock::now();
@@ -228,6 +242,16 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
       static_cast<double>(epochs);
   out.kernels = KernelStats::Instance().Snapshot().Since(kernels_before);
   out.epochs = epochs;
+  const dht::ChordRing& ring = sbon.index().ring();
+  out.ring_members = ring.NumMembers();
+  out.ring_spliced_per_epoch =
+      static_cast<double>(ring.work().entries_spliced -
+                          ring_before.entries_spliced) /
+      static_cast<double>(epochs);
+  out.fingers_rebuilt_per_epoch =
+      static_cast<double>(ring.work().finger_lists_rebuilt -
+                          ring_before.finger_lists_rebuilt) /
+      static_cast<double>(epochs);
   const overlay::IndexRefreshStats after = sbon.index_refresh_stats();
   out.refresh.refreshes = after.refreshes - before.refreshes;
   out.refresh.republished = after.republished - before.republished;
@@ -644,6 +668,61 @@ double MeasureChordLookupAllocs(const overlay::Sbon& sbon) {
   return hops > 0 ? allocs : -1.0;  // -1: the ring never routed a hop
 }
 
+// Allocations per ring-maintenance round in steady state (must be 0): a
+// copy of the index republishes every member at a drifted coordinate as one
+// batch (CoordinateIndex::PublishBatch -> ChordRing::ApplyBatch) and
+// restabilizes, then one member is withdrawn and republished with a
+// Stabilize after each — the incremental finger path a crash and a rejoin
+// take. The drift repeats every five rounds, so the warm-up meets every
+// batch the measured rounds apply (key collisions included).
+double MeasureRingBatchAllocs(const overlay::Sbon& sbon) {
+  dht::CoordinateIndex index = sbon.index();
+  const std::vector<NodeId>& nodes = sbon.overlay_nodes();
+  CoordBlock coords(sbon.cost_space().spec().total_dims(), nodes.size());
+  auto round = [&](size_t r) {
+    for (size_t k = 0; k < nodes.size(); ++k) {
+      Vec c = sbon.cost_space().FullCoord(nodes[k]);
+      c[0] += 0.5 * static_cast<double>((r + k) % 5);
+      coords.SetNode(k, c);
+    }
+    index.PublishBatch(nodes, coords);
+    index.Stabilize();
+    const size_t slot = r % nodes.size();
+    index.Withdraw(nodes[slot]);
+    index.Stabilize();
+    index.Publish(nodes[slot], coords.NodeVec(slot));
+    index.Stabilize();
+  };
+  for (size_t r = 0; r < 10; ++r) round(r);  // warm-up
+  const size_t before = g_alloc_count;
+  constexpr size_t kRounds = 50;
+  for (size_t r = 0; r < kRounds; ++r) round(r);
+  return static_cast<double>(g_alloc_count - before) /
+         static_cast<double>(kRounds);
+}
+
+// Allocations per HilbertQuantizer::Key in steady state (must be 0).
+double MeasureHilbertKeyAllocs(const overlay::Sbon& sbon) {
+  const dht::HilbertQuantizer& quantizer = sbon.index().quantizer();
+  std::vector<Vec> points;
+  for (NodeId n : sbon.overlay_nodes()) {
+    points.push_back(sbon.cost_space().FullCoord(n));
+  }
+  uint64_t mix = 0;
+  auto derive = [&](size_t rounds) {
+    for (size_t i = 0; i < rounds; ++i) {
+      mix ^= quantizer.Key(points[i % points.size()]).lo;
+    }
+  };
+  derive(64);  // warm-up
+  const size_t before = g_alloc_count;
+  constexpr size_t kRounds = 20000;
+  derive(kRounds);
+  const double allocs = static_cast<double>(g_alloc_count - before) /
+                        static_cast<double>(kRounds);
+  return mix != 0 ? allocs : -1.0;  // -1: every key was zero
+}
+
 // Allocations per id-only hyper-sphere walk (CoordinateIndex::
 // WithinRadiusIdsInto, the multi-query pruning search) with a reused output
 // buffer in steady state (must be 0).
@@ -1011,6 +1090,7 @@ int main(int argc, char** argv) {
   sbon::PipelineRunResult pipe1, pipeN;
   bool bit_identical = true;
   double vivaldi_allocs = 0.0, knearest_allocs = 0.0, lookup_allocs = 0.0,
+         ring_batch_allocs = 0.0, hilbert_key_allocs = 0.0,
          sphere_allocs = 0.0, relax_allocs = 0.0;
   sbon::TickAudit tick_dense, tick_sparse;
   sbon::KernelBenchResult kb_vivaldi, kb_knearest, kb_costeval;
@@ -1037,6 +1117,10 @@ int main(int argc, char** argv) {
         primary.queries_running, primary.refresh.republished,
         primary.refresh.skipped, primary.refresh.quiet_refreshes,
         primary.refresh.refreshes);
+    std::printf("              ring: %zu members, %.1f entries spliced/epoch, "
+                "%.1f finger lists rebuilt/epoch\n",
+                primary.ring_members, primary.ring_spliced_per_epoch,
+                primary.fingers_rebuilt_per_epoch);
 
     sbon::bench::Section("Epoch+Submit throughput (epsilon=0: every change)");
     eps0 = sbon::RunEpochLoop(nodes, queries, epochs, 0.0,
@@ -1058,6 +1142,10 @@ int main(int argc, char** argv) {
         churned.repair.crashes, churned.repair.rejoins,
         churned.repair.services_evicted, churned.repair.circuits_orphaned,
         churned.repair.queries_repaired, churned.repair.queries_dropped);
+    std::printf("              ring: %zu members, %.1f entries spliced/epoch, "
+                "%.1f finger lists rebuilt/epoch\n",
+                churned.ring_members, churned.ring_spliced_per_epoch,
+                churned.fingers_rebuilt_per_epoch);
 
     sbon::bench::Section("Parallel epoch pipeline (AdvanceEpoch only)");
     pipe1 = sbon::RunPipelineOnly(nodes, queries, epochs, /*threads=*/1, 42,
@@ -1097,6 +1185,8 @@ int main(int argc, char** argv) {
         sbon::bench::Nodes(200), /*seed=*/7);
     knearest_allocs = sbon::MeasureKNearestAllocs(*audit_sbon);
     lookup_allocs = sbon::MeasureChordLookupAllocs(*audit_sbon);
+    ring_batch_allocs = sbon::MeasureRingBatchAllocs(*audit_sbon);
+    hilbert_key_allocs = sbon::MeasureHilbertKeyAllocs(*audit_sbon);
     sphere_allocs = sbon::MeasureSphereWalkAllocs(*audit_sbon);
     relax_allocs = sbon::MeasureRelaxationAllocs(*audit_sbon);
     tick_dense = sbon::MeasureTick(sbon::bench::Nodes(200),
@@ -1109,6 +1199,10 @@ int main(int argc, char** argv) {
                 knearest_allocs);
     std::printf("allocs/ChordRing::Lookup       = %g (want 0)\n",
                 lookup_allocs);
+    std::printf("allocs/ring batch round        = %g (want 0)\n",
+                ring_batch_allocs);
+    std::printf("allocs/HilbertQuantizer::Key   = %g (want 0)\n",
+                hilbert_key_allocs);
     std::printf("allocs/WithinRadiusIdsInto     = %g (want 0)\n",
                 sphere_allocs);
     std::printf("allocs/RelaxationPlacer::Place = %g (want 0)\n",
@@ -1118,15 +1212,18 @@ int main(int argc, char** argv) {
     std::printf("allocs/TickNetwork sparse      = %g (want 0)  %.1f ns/tick\n",
                 tick_sparse.allocs_per_tick, tick_sparse.tick_ns);
     if (vivaldi_allocs != 0.0 || knearest_allocs != 0.0 ||
-        lookup_allocs != 0.0 || sphere_allocs != 0.0 ||
+        lookup_allocs != 0.0 || ring_batch_allocs != 0.0 ||
+        hilbert_key_allocs != 0.0 || sphere_allocs != 0.0 ||
         relax_allocs != 0.0 || tick_dense.allocs_per_tick != 0.0 ||
         tick_sparse.allocs_per_tick != 0.0) {
       std::fprintf(stderr,
                    "FAIL: hot loops allocate (vivaldi=%g knearest=%g "
-                   "lookup=%g sphere=%g relaxation=%g tick_dense=%g "
-                   "tick_sparse=%g; -1 = nothing measured)\n",
+                   "lookup=%g ring_batch=%g hilbert_key=%g sphere=%g "
+                   "relaxation=%g tick_dense=%g tick_sparse=%g; -1 = "
+                   "nothing measured)\n",
                    vivaldi_allocs, knearest_allocs, lookup_allocs,
-                   sphere_allocs, relax_allocs, tick_dense.allocs_per_tick,
+                   ring_batch_allocs, hilbert_key_allocs, sphere_allocs,
+                   relax_allocs, tick_dense.allocs_per_tick,
                    tick_sparse.allocs_per_tick);
       return 1;
     }
@@ -1224,7 +1321,7 @@ int main(int argc, char** argv) {
         "  vivaldi=%zu msgs ring=%zu msgs placement=%zu msgs\n"
         "  convergence=%zu epochs after last churn (%s)  "
         "staleness p50=%.1f p95=%.1f (%zu samples)\n"
-        "  replay %s\n",
+        "  route fallbacks=%zu (want 0)  replay %s\n",
         msg1.nodes, msg1.queries, msg1.epochs, msg1.ns_per_epoch,
         t.bytes_per_node_per_epoch, t.msgs_sent, t.msgs_delivered,
         t.msgs_dropped_dead, t.msgs_dropped_partition,
@@ -1233,6 +1330,7 @@ int main(int argc, char** argv) {
         t.protocol_msgs[static_cast<size_t>(sbon::msg::Protocol::kPlacement)],
         t.convergence_epochs, t.converged ? "converged" : "NOT CONVERGED",
         t.staleness_p50, t.staleness_p95, t.staleness_samples,
+        t.route_fallbacks,
         msg_replay_identical ? "bit-identical across thread counts"
                              : "DIVERGED ACROSS THREAD COUNTS");
   }
@@ -1242,6 +1340,13 @@ int main(int argc, char** argv) {
         "FAIL: message-mode replay diverged (t1=%016llx t4=%016llx)\n",
         static_cast<unsigned long long>(msg1.fingerprint),
         static_cast<unsigned long long>(msgN.fingerprint));
+    return 1;
+  }
+  if (msg1.summary.route_fallbacks != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %zu message-mode ring routes fell back to a zero-hop "
+                 "local delivery\n",
+                 msg1.summary.route_fallbacks);
     return 1;
   }
 
@@ -1284,7 +1389,8 @@ int main(int argc, char** argv) {
       "exhausted=%zu overflow=%zu pending=%zu\n"
       "  detector: suspicions=%zu false=%zu confirmations=%zu  "
       "detection p50=%.1f p95=%.1f epochs (%zu samples)\n"
-      "  convergence=%zu epochs after last churn (%s)  replay %s\n",
+      "  convergence=%zu epochs after last churn (%s)  "
+      "route fallbacks=%zu (want 0)  replay %s\n",
       100.0 * fault_rates.loss, 100.0 * fault_rates.duplicate,
       fault_rates.delay_jitter_ms, chaos1.ns_per_epoch, ct.msgs_sent,
       ct.msgs_delivered, ct.msgs_dropped_fault, ct.msgs_duplicated,
@@ -1293,7 +1399,7 @@ int main(int argc, char** argv) {
       ct.retry_pending, ct.suspicions, ct.false_suspicions,
       ct.crash_confirmations, ct.detection_p50, ct.detection_p95,
       ct.detection_samples, ct.convergence_epochs,
-      ct.converged ? "converged" : "NOT CONVERGED",
+      ct.converged ? "converged" : "NOT CONVERGED", ct.route_fallbacks,
       chaos_replay_identical ? "bit-identical across thread counts"
                              : "DIVERGED ACROSS THREAD COUNTS");
   if (!chaos_replay_identical) {
@@ -1302,6 +1408,13 @@ int main(int argc, char** argv) {
         "FAIL: chaos message-mode replay diverged (t1=%016llx t4=%016llx)\n",
         static_cast<unsigned long long>(chaos1.fingerprint),
         static_cast<unsigned long long>(chaosN.fingerprint));
+    return 1;
+  }
+  if (ct.route_fallbacks != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %zu chaos-mode ring routes fell back to a zero-hop "
+                 "local delivery\n",
+                 ct.route_fallbacks);
     return 1;
   }
 
@@ -1406,6 +1519,8 @@ int main(int argc, char** argv) {
           "  \"allocs_per_vivaldi_update\": %g,\n"
           "  \"allocs_per_knearest\": %g,\n"
           "  \"allocs_per_chord_lookup\": %g,\n"
+          "  \"allocs_per_ring_batch\": %g,\n"
+          "  \"allocs_per_hilbert_key\": %g,\n"
           "  \"allocs_per_sphere_walk\": %g,\n"
           "  \"allocs_per_relaxation_place\": %g,\n"
           "  \"tick\": {\n"
@@ -1431,12 +1546,20 @@ int main(int argc, char** argv) {
           "    \"circuits_orphaned\": %zu,\n"
           "    \"queries_repaired\": %zu,\n"
           "    \"queries_dropped\": %zu\n"
+          "  },\n"
+          "  \"ring\": {\n"
+          "    \"members\": %zu,\n"
+          "    \"entries_spliced_per_epoch\": %.1f,\n"
+          "    \"finger_lists_rebuilt_per_epoch\": %.1f,\n"
+          "    \"churn_entries_spliced_per_epoch\": %.1f,\n"
+          "    \"churn_finger_lists_rebuilt_per_epoch\": %.1f\n"
           "  },\n",
           epsilon, primary.ns_per_epoch, primary.ns_per_submit,
           eps0.ns_per_epoch, primary.allocs_per_epoch,
           primary.refresh.republished, primary.refresh.skipped,
           primary.refresh.quiet_refreshes, primary.refresh.refreshes,
-          vivaldi_allocs, knearest_allocs, lookup_allocs, sphere_allocs,
+          vivaldi_allocs, knearest_allocs, lookup_allocs, ring_batch_allocs,
+          hilbert_key_allocs, sphere_allocs,
           relax_allocs, tick_dense.allocs_per_tick, tick_dense.tick_ns,
           tick_sparse.allocs_per_tick, tick_sparse.tick_ns, hw_threads,
           par_threads,
@@ -1445,7 +1568,10 @@ int main(int argc, char** argv) {
           bit_identical ? "true" : "false", churn_rate, churned.ns_per_epoch,
           churned.repair.crashes, churned.repair.rejoins,
           churned.repair.services_evicted, churned.repair.circuits_orphaned,
-          churned.repair.queries_repaired, churned.repair.queries_dropped);
+          churned.repair.queries_repaired, churned.repair.queries_dropped,
+          primary.ring_members, primary.ring_spliced_per_epoch,
+          primary.fingers_rebuilt_per_epoch, churned.ring_spliced_per_epoch,
+          churned.fingers_rebuilt_per_epoch);
       // Per-kernel microbenchmarks (production vs pre-SoA reference, with
       // a bit-identity gate) plus per-epoch attribution from the primary
       // engine loop's KernelStats delta.
@@ -1536,6 +1662,7 @@ int main(int argc, char** argv) {
           "    \"staleness_p50\": %.1f,\n"
           "    \"staleness_p95\": %.1f,\n"
           "    \"staleness_samples\": %zu,\n"
+          "    \"route_fallbacks\": %zu,\n"
           "    \"replay_bit_identical\": %s\n"
           "  },\n",
           msg1.nodes, msg1.queries, msg1.epochs, msg1.ns_per_epoch,
@@ -1551,7 +1678,7 @@ int main(int argc, char** argv) {
               sbon::msg::Protocol::kPlacement)],
           t.convergence_epochs, t.converged ? "true" : "false",
           t.staleness_p50, t.staleness_p95, t.staleness_samples,
-          msg_replay_identical ? "true" : "false");
+          t.route_fallbacks, msg_replay_identical ? "true" : "false");
     }
     std::fprintf(
         f,
@@ -1583,6 +1710,7 @@ int main(int argc, char** argv) {
         "    \"detection_samples\": %zu,\n"
         "    \"convergence_epochs_after_churn\": %zu,\n"
         "    \"converged\": %s,\n"
+        "    \"route_fallbacks\": %zu,\n"
         "    \"replay_bit_identical\": %s\n"
         "  },\n",
         fault_rates.loss, fault_rates.duplicate, fault_rates.delay_jitter_ms,
@@ -1593,7 +1721,7 @@ int main(int argc, char** argv) {
         ct.retransmit_overflow, ct.retry_pending, ct.suspicions,
         ct.false_suspicions, ct.crash_confirmations, ct.detection_p50,
         ct.detection_p95, ct.detection_samples, ct.convergence_epochs,
-        ct.converged ? "true" : "false",
+        ct.converged ? "true" : "false", ct.route_fallbacks,
         chaos_replay_identical ? "true" : "false");
     std::fprintf(f, "  \"sparse\": {\n");
     write_point("small", sp_small);

@@ -8,14 +8,6 @@
 
 namespace sbon::coords {
 
-namespace {
-// Mass-publish batches at or above this size go through the ring's bulk
-// window (O(log m) per publish instead of O(m) vector splices). Below it
-// the window's map build would cost more allocations than it saves; the
-// final ring is bit-identical either way, so this is purely a perf knob.
-constexpr size_t kBulkPublishThreshold = 2048;
-}  // namespace
-
 StatusOr<std::unique_ptr<CoordinateManager>> CoordinateManager::Build(
     Params params, const net::LatencyView& lat, Rng* rng) {
   const size_t n = lat.NumNodes();
@@ -80,13 +72,11 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
   }
   index_ = std::make_unique<dht::CoordinateIndex>(
       dht::HilbertQuantizer::FitTo(box_points, params_.hilbert_bits));
-  const bool bulk = overlay_nodes.size() >= kBulkPublishThreshold;
-  if (bulk) index_->BeginBulkUpdate();
+  full_block_.Reset(params_.spec.total_dims(), overlay_nodes.size());
   for (size_t k = 0; k < overlay_nodes.size(); ++k) {
-    index_->Publish(overlay_nodes[k], full_coords[k]);
-    last_published_.SetNode(overlay_nodes[k], full_coords[k]);
+    full_block_.SetNode(k, full_coords[k]);
   }
-  if (bulk) index_->EndBulkUpdate();
+  PublishBatch(overlay_nodes, full_block_);
   index_->Stabilize();
 }
 
@@ -211,61 +201,59 @@ void CoordinateManager::UpdateCoordinatesOnline(
   space_->SyncVectorFrom(vivaldi_->coords());
 }
 
-void CoordinateManager::RefreshIndex(const std::vector<NodeId>& overlay_nodes,
-                                     double epsilon, ThreadPool* pool) {
-  refresh_stats_.refreshes += 1;
+size_t CoordinateManager::ScanDisplacement(
+    const std::vector<NodeId>& overlay_nodes, double epsilon,
+    ThreadPool* pool) {
   const double eps2 = epsilon * epsilon;
   const size_t m = overlay_nodes.size();
-  // Phase 1 — displacement scan (sharded), counted as the cost_eval kernel:
-  // gather every overlay node's full coordinate into positional SoA lanes,
-  // then diff lane-wise against the last-published block and flag the slots
-  // displaced beyond epsilon. Each slot is written by exactly one shard;
-  // dirty_ is byte-wide because vector<bool> packs bits and adjacent writes
-  // would race. Per slot the squared displacement accumulates dims-ascending
-  // — bitwise the order the per-Vec DistanceSquaredTo scan used.
+  // Counted as the cost_eval kernel: gather every overlay node's full
+  // coordinate into positional SoA lanes, then diff lane-wise against the
+  // last-published block and flag the slots displaced beyond epsilon. Each
+  // slot is written by exactly one shard; dirty_ is byte-wide because
+  // vector<bool> packs bits and adjacent writes would race. Per slot the
+  // squared displacement accumulates dims-ascending — bitwise the order the
+  // per-Vec DistanceSquaredTo scan used.
   dirty_.assign(m, 0);
   full_block_.Reset(params_.spec.total_dims(), m);
   disp_scratch_.resize(m);
-  {
-    KernelTimer timer(Kernel::kCostEval, m);
-    ParallelSlices(pool, m, [&](size_t lo, size_t hi) {
-      space_->FullCoordsInto(overlay_nodes.data() + lo, hi - lo, lo,
-                             &full_block_);
-      kernels::DisplacementSquared(full_block_, lo, last_published_,
-                                   overlay_nodes.data() + lo, hi - lo,
-                                   disp_scratch_.data() + lo);
-      for (size_t k = lo; k < hi; ++k) {
-        // Strictly-greater: epsilon 0 republishes any changed coordinate and
-        // skips bit-identical ones (the ring state is the same either way).
-        dirty_[k] = disp_scratch_[k] > eps2;
-      }
-    });
-  }
-  // Phase 2 — serial re-publish in node order (ring mutation), identical to
-  // the order the legacy single-pass refresh issued. Bulk window: a busy
-  // epoch republishes most of the overlay, and per-publish vector splices
-  // would make the refresh O(m^2) at large N.
-  size_t republished = 0;
-  const bool bulk = m >= kBulkPublishThreshold;
-  if (bulk) index_->BeginBulkUpdate();
-  for (size_t k = 0; k < m; ++k) {
-    if (dirty_[k]) {
-      const NodeId n = overlay_nodes[k];
-      const Vec full = full_block_.NodeVec(k);
-      index_->Publish(n, full);
-      last_published_.SetNode(n, full);
-      ++republished;
-    } else {
-      refresh_stats_.skipped += 1;
+  KernelTimer timer(Kernel::kCostEval, m);
+  ParallelSlices(pool, m, [&](size_t lo, size_t hi) {
+    space_->FullCoordsInto(overlay_nodes.data() + lo, hi - lo, lo,
+                           &full_block_);
+    kernels::DisplacementSquared(full_block_, lo, last_published_,
+                                 overlay_nodes.data() + lo, hi - lo,
+                                 disp_scratch_.data() + lo);
+    for (size_t k = lo; k < hi; ++k) {
+      // Strictly-greater: epsilon 0 republishes any changed coordinate and
+      // skips bit-identical ones (the ring state is the same either way).
+      dirty_[k] = disp_scratch_[k] > eps2;
     }
-  }
-  if (bulk) index_->EndBulkUpdate();
-  refresh_stats_.republished += republished;
-  if (republished > 0) {
-    index_->Stabilize();
-  } else {
+  });
+  return static_cast<size_t>(std::count(dirty_.begin(), dirty_.end(), 1));
+}
+
+void CoordinateManager::RefreshIndex(const std::vector<NodeId>& overlay_nodes,
+                                     double epsilon, ThreadPool* pool) {
+  refresh_stats_.refreshes += 1;
+  const size_t m = overlay_nodes.size();
+  const size_t dirty = ScanDisplacement(overlay_nodes, epsilon, pool);
+  refresh_stats_.skipped += m - dirty;
+  if (dirty == 0) {
     refresh_stats_.quiet_refreshes += 1;
+    return;
   }
+  // Compact the displaced slots to the front of the scan block, in node
+  // order, and republish them as one ring batch.
+  publish_nodes_.clear();
+  for (size_t k = 0; k < m; ++k) {
+    if (!dirty_[k]) continue;
+    const size_t w = publish_nodes_.size();
+    if (w != k) full_block_.SetNode(w, full_block_.NodeVec(k));
+    publish_nodes_.push_back(overlay_nodes[k]);
+  }
+  PublishBatch(publish_nodes_, full_block_);
+  refresh_stats_.republished += dirty;
+  index_->Stabilize();
 }
 
 void CoordinateManager::ApplyRemoteSample(NodeId self, NodeId peer,
@@ -280,24 +268,12 @@ void CoordinateManager::SyncVectorCoords() {
   space_->SyncVectorFrom(vivaldi_->coords());
 }
 
-void CoordinateManager::CollectDisplaced(
-    const std::vector<NodeId>& overlay_nodes, double epsilon,
-    std::vector<NodeId>* out) const {
-  const double eps2 = epsilon * epsilon;
-  for (NodeId n : overlay_nodes) {
-    const Vec full = space_->FullCoord(n);
-    // Strictly-greater, matching RefreshIndex: epsilon 0 flags any changed
-    // coordinate and skips bit-identical ones.
-    if (kernels::DistanceSquaredAt(last_published_, n, full.data()) > eps2) {
-      out->push_back(n);
-    }
+void CoordinateManager::PublishBatch(const std::vector<NodeId>& nodes,
+                                     const CoordBlock& coords) {
+  index_->PublishBatch(nodes, coords);
+  for (size_t k = 0; k < nodes.size(); ++k) {
+    last_published_.SetNode(nodes[k], coords.NodeVec(k));
   }
-}
-
-void CoordinateManager::PublishWithoutStabilize(NodeId n) {
-  const Vec full = space_->FullCoord(n);
-  index_->Publish(n, full);
-  last_published_.SetNode(n, full);
 }
 
 void CoordinateManager::Withdraw(NodeId n) {

@@ -130,16 +130,22 @@ class CoordinateManager {
   /// what UpdateCoordinatesOnline does after its sweep. Call once per epoch
   /// after the message drain. No-op without Vivaldi.
   void SyncVectorCoords();
-  /// Appends to `out` every node of `overlay_nodes` whose full coordinate
-  /// moved more than `epsilon` since its last publish — RefreshIndex's
-  /// displacement scan without the publishes (the RingAgent turns each hit
-  /// into a routed publish message instead).
-  void CollectDisplaced(const std::vector<NodeId>& overlay_nodes,
-                        double epsilon, std::vector<NodeId>* out) const;
-  /// Publishes `n`'s current full coordinate without restabilizing; the
-  /// message-mode refresh batches one StabilizeIndex per epoch over however
-  /// many publish messages were delivered.
-  void PublishWithoutStabilize(NodeId n);
+  /// RefreshIndex's displacement scan on its own: recomputes the full
+  /// coordinate of every node of `overlay_nodes` (slot k = overlay_nodes[k])
+  /// and flags each one displaced more than `epsilon` since its last
+  /// publish. Returns the number flagged; the flags and coordinates stay
+  /// readable through displaced() / ScannedCoord() until the next scan or
+  /// refresh. The message-mode RingAgent turns each hit into a routed
+  /// publish message.
+  size_t ScanDisplacement(const std::vector<NodeId>& overlay_nodes,
+                          double epsilon, ThreadPool* pool = nullptr);
+  const std::vector<uint8_t>& displaced() const { return dirty_; }
+  Vec ScannedCoord(size_t slot) const { return full_block_.NodeVec(slot); }
+  /// Publishes `nodes[k]` at slot k of `coords` for every k, in list order,
+  /// as one ring batch, and records each as the node's last publish.
+  /// Does not restabilize: the message-mode refresh applies one batch per
+  /// epoch and follows it with one StabilizeIndex.
+  void PublishBatch(const std::vector<NodeId>& nodes, const CoordBlock& coords);
   void StabilizeIndex() { index_->Stabilize(); }
 
  private:
@@ -176,6 +182,7 @@ class CoordinateManager {
                                      ///< positional (slot k = overlay_nodes[k])
   std::vector<double> disp_scratch_; ///< squared displacement per slot
   std::vector<uint8_t> dirty_;       ///< per overlay node: moved > epsilon
+  std::vector<NodeId> publish_nodes_;  ///< refresh batch (displaced nodes)
 };
 
 }  // namespace sbon::coords

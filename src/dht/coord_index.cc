@@ -25,15 +25,29 @@ CoordinateIndex::CoordinateIndex(HilbertQuantizer quantizer)
     : quantizer_(std::move(quantizer)), coords_(quantizer_.dims(), 0) {}
 
 void CoordinateIndex::Publish(NodeId node, const Vec& coord) {
+  batch_.clear();
+  Stage(node, coord);
+  ring_.ApplyBatch(batch_);
+}
+
+void CoordinateIndex::PublishBatch(const std::vector<NodeId>& nodes,
+                                   const CoordBlock& coords) {
+  assert(coords.dims() == quantizer_.dims());
+  assert(coords.nodes() >= nodes.size());
+  batch_.clear();
+  for (size_t k = 0; k < nodes.size(); ++k) Stage(nodes[k], coords.NodeVec(k));
+  ring_.ApplyBatch(batch_);
+}
+
+void CoordinateIndex::Stage(NodeId node, const Vec& coord) {
   assert(coord.dims() == quantizer_.dims());
   if (coords_.nodes() <= node) {
     coords_.EnsureNodes(node + 1);
     published_.resize(node + 1, false);
   }
-  if (published_[node]) ring_.Leave(node);
   coords_.SetNode(node, coord);
   published_[node] = true;
-  ring_.Join(quantizer_.Key(coord), node);
+  batch_.push_back(ChordRing::Member{quantizer_.Key(coord), node});
 }
 
 void CoordinateIndex::Withdraw(NodeId node) {

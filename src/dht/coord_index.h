@@ -65,20 +65,18 @@ class CoordinateIndex {
 
   const HilbertQuantizer& quantizer() const { return quantizer_; }
 
-  /// Publishes (or republishes) a node's coordinate.
+  /// Publishes (or republishes) a node's coordinate: a batch of one.
   void Publish(NodeId node, const Vec& coord);
+  /// Publishes `nodes[k]` at the coordinate in slot k of `coords`, for
+  /// every k, as one ring batch (ChordRing::ApplyBatch). List order is
+  /// publish order: the index ends bit-identical to calling Publish for each
+  /// entry in turn, and a node listed twice ends at its last coordinate.
+  void PublishBatch(const std::vector<NodeId>& nodes, const CoordBlock& coords);
   /// Removes a node from the index.
   void Withdraw(NodeId node);
   /// Rebuilds routing state; must be called after a batch of
-  /// Publish/Withdraw calls and before queries.
+  /// Publish/PublishBatch/Withdraw calls and before queries.
   void Stabilize();
-
-  /// Bulk-update window around mass Publish batches (bring-up, index
-  /// refresh): inside it each Publish costs O(log published) instead of
-  /// O(published), with a bit-identical final ring. Queries are invalid
-  /// until the Stabilize that follows EndBulkUpdate.
-  void BeginBulkUpdate() { ring_.BeginBulk(); }
-  void EndBulkUpdate() { ring_.EndBulk(); }
 
   size_t NumPublished() const { return ring_.NumMembers(); }
 
@@ -144,6 +142,7 @@ class CoordinateIndex {
 
   HilbertQuantizer quantizer_;
   ChordRing ring_;
+  std::vector<ChordRing::Member> batch_;  ///< publish scratch
   // Published coordinates as per-dimension lanes, addressed by node id.
   CoordBlock coords_;
   std::vector<bool> published_;
@@ -160,6 +159,9 @@ class CoordinateIndex {
   mutable std::vector<DistNode> pair_scratch_;
   mutable std::vector<NodeId> walk_scratch_;
 
+  /// Records `coord` as `node`'s published coordinate and appends its ring
+  /// entry to `batch_`.
+  void Stage(NodeId node, const Vec& coord);
   double DistanceTo(NodeId n, const Vec& target) const;
   /// Starts a sphere walk: bumps the epoch and sizes the stamps.
   void BeginSeenEpoch() const;

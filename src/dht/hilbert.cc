@@ -8,28 +8,36 @@ namespace sbon::dht {
 namespace {
 
 // Skilling's in-place conversion from axes to the "transpose" form, in which
-// the Hilbert index bits are distributed across the words of X.
+// the Hilbert index bits are distributed across the words of X. Every select
+// is a mask instead of a branch: the steering bits are the coordinate bits
+// themselves, which are effectively random, so a branch per step would
+// mispredict about half the time.
 void AxesToTranspose(uint32_t* x, unsigned n, unsigned bits) {
-  uint32_t m = 1u << (bits - 1);
-  // Inverse undo.
-  for (uint32_t q = m; q > 1; q >>= 1) {
-    const uint32_t p = q - 1;
+  // Inverse undo. For each bit q = 2^b, x[i]'s bit q selects between
+  // inverting the low bits of x[0] (set) and exchanging them with x[i]'s
+  // (clear). For i = 0 the exchange term (x[0] ^ x[0]) is zero, so the
+  // aliasing write is a no-op exactly as in the branching form.
+  for (unsigned b = bits - 1; b > 0; --b) {
+    const uint32_t p = (1u << b) - 1;
     for (unsigned i = 0; i < n; ++i) {
-      if (x[i] & q) {
-        x[0] ^= p;  // invert
-      } else {
-        const uint32_t t = (x[0] ^ x[i]) & p;
-        x[0] ^= t;
-        x[i] ^= t;
-      }
+      const uint32_t set = 0u - ((x[i] >> b) & 1u);
+      const uint32_t t = (x[0] ^ x[i]) & p & ~set;
+      x[0] ^= (p & set) | t;
+      x[i] ^= t;
     }
   }
   // Gray encode.
   for (unsigned i = 1; i < n; ++i) x[i] ^= x[i - 1];
-  uint32_t t = 0;
-  for (uint32_t q = m; q > 1; q >>= 1) {
-    if (x[n - 1] & q) t ^= q - 1;
-  }
+  // t = XOR of (q - 1) over every bit q > 1 (q <= 2^(bits-1)) set in
+  // x[n-1]: bit j of t is the parity of those bits above j, a suffix-parity
+  // scan of five shift-xors.
+  const uint32_t in_grid = (2u << (bits - 1)) - 1u;
+  uint32_t t = (x[n - 1] & in_grid) >> 1;
+  t ^= t >> 1;
+  t ^= t >> 2;
+  t ^= t >> 4;
+  t ^= t >> 8;
+  t ^= t >> 16;
   for (unsigned i = 0; i < n; ++i) x[i] ^= t;
 }
 
@@ -63,16 +71,17 @@ U128 HilbertEncodeInPlace(uint32_t* x, unsigned n, unsigned bits) {
   assert(n >= 1 && bits >= 1 && n * bits <= 128);
   AxesToTranspose(x, n, bits);
   // Interleave transpose words MSB-first: index bit (bits*n - 1) comes from
-  // x[0]'s bit (bits-1), then x[1]'s bit (bits-1), ...
-  U128 out;
-  unsigned out_bit = n * bits;
+  // x[0]'s bit (bits-1), then x[1]'s bit (bits-1), ... Each bit shifts into
+  // a (hi, lo) word pair; n * bits <= 128, so nothing shifts out.
+  uint64_t hi = 0;
+  uint64_t lo = 0;
   for (unsigned b = bits; b-- > 0;) {
     for (unsigned d = 0; d < n; ++d) {
-      --out_bit;
-      if ((x[d] >> b) & 1u) out.SetBit(out_bit);
+      hi = (hi << 1) | (lo >> 63);
+      lo = (lo << 1) | ((x[d] >> b) & 1u);
     }
   }
-  return out;
+  return U128(hi, lo);
 }
 
 U128 HilbertEncode(const std::vector<uint32_t>& axes, unsigned bits) {

@@ -107,6 +107,7 @@ RingAgent::RingAgent(MessageBus* bus, overlay::Sbon* sbon,
       dedup_(sbon->topology().NumNodes(),
              reliability.enabled ? reliability.dedup_window : 1) {
   publish_epoch_.assign(sbon_->topology().NumNodes(), 0);
+  delivered_coords_.Reset(sbon_->cost_space().spec().total_dims(), 0);
   bus_->SetHandler(Protocol::kRing,
                    [this](const Envelope& e) { HandleMessage(e); });
 }
@@ -116,7 +117,12 @@ dht::ChordRing::LookupResult RingAgent::Route(const dht::U128& key,
                                               NodeId self) {
   auto result = sbon_->index().ring().Lookup(key, origin);
   if (result.ok()) return *result;
-  // Degenerate ring (e.g. a single member): apply locally, zero hops.
+  return Fallback(key, self);
+}
+
+dht::ChordRing::LookupResult RingAgent::Fallback(const dht::U128& key,
+                                                 NodeId self) {
+  ++bus_->stats().route_fallbacks;
   dht::ChordRing::LookupResult local;
   local.node = self;
   local.key = key;
@@ -151,11 +157,16 @@ void RingAgent::StepEpoch(double epsilon) {
   RetryPending();
   const dht::CoordinateIndex& index = sbon_->index();
   if (epsilon >= 0.0) {
-    displaced_.clear();
-    sbon_->coords().CollectDisplaced(sbon_->overlay_nodes(), epsilon,
-                                     &displaced_);
-    for (NodeId n : displaced_) {
-      const Vec full = sbon_->cost_space().FullCoord(n);
+    // The oracle refresh's displacement scan, serial: slot k is overlay
+    // node k, flagged when it moved more than epsilon since its last
+    // publish.
+    coords::CoordinateManager& coords = sbon_->mutable_coords();
+    const std::vector<NodeId>& overlay = sbon_->overlay_nodes();
+    coords.ScanDisplacement(overlay, epsilon);
+    for (size_t k = 0; k < overlay.size(); ++k) {
+      if (!coords.displaced()[k]) continue;
+      const NodeId n = overlay[k];
+      const Vec full = coords.ScannedCoord(k);
       const dht::U128 key = index.quantizer().Key(full);
       // Route from the node's own key region toward the new key: a
       // displacement republish travels from where the node sits to where
@@ -169,7 +180,6 @@ void RingAgent::StepEpoch(double epsilon) {
       publish.from = n;
       publish.to = route.node;
       publish.subject = n;
-      publish.coord = full;
       publish.bytes = params_.publish_base_bytes + 8 * full.dims();
       if (reliability_.enabled) {
         publish.tid = bus_->IssueTid();
@@ -216,14 +226,19 @@ void RingAgent::HandleMessage(const Envelope& e) {
   }
   switch (e.kind) {
     case MsgKind::kPublish:
-      // The owner records the (re)published coordinate. Reads the node's
-      // *current* full coordinate — deliveries later in the drain see any
-      // Vivaldi movement that landed before them, exactly like a datagram
-      // serialized at transmission time would have been re-read on retry.
+      // The owner records the (re)published coordinate: the node's
+      // *current* full coordinate at delivery — deliveries later in the
+      // drain see any movement that landed before them, exactly like a
+      // datagram serialized at transmission time would have been re-read on
+      // retry. The ring applies the epoch's deliveries as one batch after
+      // the drain (ApplyDeliveredPublishes); nothing routes in between.
       if (sbon_->IsAlive(e.subject)) {
-        sbon_->mutable_coords().PublishWithoutStabilize(e.subject);
+        const size_t slot = delivered_nodes_.size();
+        delivered_coords_.EnsureNodes(slot + 1);
+        delivered_coords_.SetNode(slot,
+                                  sbon_->cost_space().FullCoord(e.subject));
+        delivered_nodes_.push_back(e.subject);
         publish_epoch_[e.subject] = static_cast<uint32_t>(bus_->epoch());
-        ++publishes_applied_;
       }
       if (reliability_.enabled) SendAck(e);
       break;
@@ -280,12 +295,11 @@ void RingAgent::RetryPending() {
     // coordinate — the same re-serialization semantics a real datagram
     // retry has (the ring may have repaired and the node drifted since).
     Envelope again = p.env;
-    const Vec full = sbon_->cost_space().FullCoord(again.subject);
-    const dht::U128 key = sbon_->index().quantizer().Key(full);
+    const dht::U128 key = sbon_->index().quantizer().Key(
+        sbon_->cost_space().FullCoord(again.subject));
     const dht::ChordRing::LookupResult route = Route(key, key, again.subject);
     BillHops(again.subject, route.hops);
     again.to = route.node;
-    again.coord = full;
     p.env.to = route.node;  // remember the refreshed destination
     ++p.attempts;
     p.backoff_epochs = std::min(p.backoff_epochs * reliability_.backoff_factor,
@@ -297,6 +311,15 @@ void RingAgent::RetryPending() {
     bus_->Send(std::move(again));
     ++it;
   }
+}
+
+size_t RingAgent::ApplyDeliveredPublishes() {
+  const size_t count = delivered_nodes_.size();
+  if (count == 0) return 0;
+  sbon_->mutable_coords().PublishBatch(delivered_nodes_, delivered_coords_);
+  delivered_nodes_.clear();
+  delivered_coords_.Reset(delivered_coords_.dims(), 0);
+  return count;
 }
 
 void RingAgent::SendAck(const Envelope& e) {
@@ -341,13 +364,8 @@ void RingAgent::OnRejoin(NodeId n) {
   const Vec full = sbon_->cost_space().FullCoord(n);
   const dht::U128 key = sbon_->index().quantizer().Key(full);
   auto result = sbon_->index().ring().Lookup(key);
-  dht::ChordRing::LookupResult route;
-  if (result.ok()) {
-    route = *result;
-  } else {
-    route.node = n;
-    route.key = key;
-  }
+  const dht::ChordRing::LookupResult route =
+      result.ok() ? *result : Fallback(key, n);
   BillHops(n, route.hops);
   Envelope join;
   join.proto = Protocol::kRing;
@@ -495,9 +513,10 @@ void Runtime::NotifyChurn(const net::ChurnEvent& ev) {
 void Runtime::FinishEpoch(bool refresh, double epsilon) {
   ring_.StepEpoch(refresh ? epsilon : -1.0);
   bus_.EndEpoch();
-  // One stabilization over however many publish messages landed this epoch
-  // (the oracle refresh restabilizes once per batch the same way).
-  if (ring_.TakeAppliedPublishes() > 0) {
+  // One ring batch and one stabilization over however many publish
+  // messages landed this epoch (the oracle refresh does the same per
+  // refresh).
+  if (ring_.ApplyDeliveredPublishes() > 0) {
     sbon_->mutable_coords().StabilizeIndex();
   }
   sbon_->mutable_coords().SyncVectorCoords();

@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "common/coord_block.h"
 #include "common/ids.h"
 #include "common/status.h"
 #include "dht/coord_index.h"
@@ -215,13 +216,11 @@ class RingAgent {
   /// kPublish sends this epoch (the ring-quiescence signal convergence
   /// tracking watches).
   size_t publishes_sent_epoch() const { return publishes_sent_epoch_; }
-  /// Publishes applied since the last Take (resets the counter): when
-  /// nonzero the runtime owes the index one StabilizeIndex.
-  size_t TakeAppliedPublishes() {
-    const size_t n = publishes_applied_;
-    publishes_applied_ = 0;
-    return n;
-  }
+  /// Applies the publishes delivered since the last call as one ring batch
+  /// (delivery order, each at the coordinate its subject had at delivery)
+  /// and returns how many there were: when nonzero the runtime owes the
+  /// index one StabilizeIndex.
+  size_t ApplyDeliveredPublishes();
   /// Engine epoch each node's coordinate was last published at (the
   /// staleness clock placement decisions are stamped against).
   const std::vector<uint32_t>& publish_epoch() const { return publish_epoch_; }
@@ -254,6 +253,9 @@ class RingAgent {
   /// hops) when the lookup is unavailable.
   dht::ChordRing::LookupResult Route(const dht::U128& key,
                                      const dht::U128& origin, NodeId self);
+  /// The local zero-hop delivery a failed lookup degrades to, counted in
+  /// TrafficStats::route_fallbacks.
+  dht::ChordRing::LookupResult Fallback(const dht::U128& key, NodeId self);
   /// Bills `hops` forwarding messages to `via` without enqueueing them
   /// (intermediate hops relay; only the final delivery is simulated).
   void BillHops(NodeId via, size_t hops);
@@ -272,8 +274,11 @@ class RingAgent {
   std::map<uint64_t, PendingTransfer> pending_;
   std::vector<uint32_t> publish_epoch_;  ///< by node id
   size_t publishes_sent_epoch_ = 0;
-  size_t publishes_applied_ = 0;
-  std::vector<NodeId> displaced_;  ///< scratch for the displacement scan
+  /// Publishes delivered this epoch, in delivery order: the subject, and
+  /// its full coordinate at delivery in the matching slot of
+  /// delivered_coords_.
+  std::vector<NodeId> delivered_nodes_;
+  CoordBlock delivered_coords_;
 };
 
 /// The message-mode execution runtime the engine drives: owns the bus and

@@ -68,7 +68,7 @@ struct Envelope {
   /// coordinate is being (re)published (usually == from; the routed hop
   /// count is billed separately). kLeave: the dead member.
   NodeId subject = kInvalidNode;
-  Vec coord;         ///< kPong / kPublish: the carried coordinate
+  Vec coord;         ///< kPong: the carried coordinate
   double aux0 = 0.0; ///< kPing/kPong: originating send time (rtt echo)
   double aux1 = 0.0; ///< kPong: the peer's local error estimate
 };
@@ -122,6 +122,10 @@ struct TrafficStats {
   std::vector<uint64_t> node_bytes;
   /// Engine epochs the bus has drained.
   size_t epochs = 0;
+  /// Ring routes (publish, retry, join) whose Chord lookup failed — empty
+  /// or unstabilized ring — and were delivered locally at zero billed hops.
+  /// Stays 0 while the ring is stabilized before every route.
+  size_t route_fallbacks = 0;
 
   /// Convergence tracking: epoch of the most recent churn event, whether
   /// the ring has re-quiesced since (zero publish sends in an epoch), and
@@ -170,6 +174,7 @@ struct TrafficSummary {
   size_t msgs_duplicated = 0;
   size_t bytes_total = 0;
   double bytes_per_node_per_epoch = 0.0;
+  size_t route_fallbacks = 0;
   size_t protocol_msgs[kNumProtocols] = {0, 0, 0};
   size_t protocol_bytes[kNumProtocols] = {0, 0, 0};
   /// Epochs from the last churn event to ring quiescence (0 = no churn
@@ -214,6 +219,7 @@ inline TrafficSummary Summarize(const TrafficStats& stats, size_t num_nodes) {
   s.msgs_sent = stats.TotalSent();
   s.msgs_delivered = stats.TotalDelivered();
   s.bytes_total = stats.TotalBytes();
+  s.route_fallbacks = stats.route_fallbacks;
   for (size_t p = 0; p < kNumProtocols; ++p) {
     s.protocol_msgs[p] = stats.protocol[p].sent;
     s.protocol_bytes[p] = stats.protocol[p].bytes;

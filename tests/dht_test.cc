@@ -259,52 +259,6 @@ TEST(ChordTest, DuplicateKeysPerturbed) {
   EXPECT_NE(ring.members()[0].key, ring.members()[1].key);
 }
 
-// The bulk window is a pure performance mode: any Join/Leave sequence —
-// including duplicate-key perturbation chains and leave-then-rejoin — must
-// land on a membership bitwise identical to the sequential vector path.
-TEST(ChordTest, BulkWindowMatchesSequentialMembership) {
-  Rng rng(42);
-  // Random churn script over a small id space so duplicate keys are common.
-  struct Op {
-    bool join;
-    uint64_t key;
-    NodeId node;
-  };
-  std::vector<Op> script;
-  for (int i = 0; i < 400; ++i) {
-    script.push_back(Op{rng.UniformInt(4) != 0,
-                        static_cast<uint64_t>(rng.UniformInt(32)),
-                        static_cast<NodeId>(rng.UniformInt(64))});
-  }
-  ChordRing seq, bulk;
-  bulk.BeginBulk();
-  for (const Op& op : script) {
-    // A node holds at most one entry (the CoordinateIndex invariant the
-    // bulk path relies on): leave before every join.
-    if (op.join) {
-      seq.Leave(op.node);
-      seq.Join(U128::FromU64(op.key), op.node);
-      bulk.Leave(op.node);
-      bulk.Join(U128::FromU64(op.key), op.node);
-    } else {
-      seq.Leave(op.node);
-      bulk.Leave(op.node);
-    }
-  }
-  bulk.EndBulk();
-  ASSERT_EQ(seq.NumMembers(), bulk.NumMembers());
-  for (size_t i = 0; i < seq.NumMembers(); ++i) {
-    EXPECT_EQ(seq.members()[i].key, bulk.members()[i].key) << "entry " << i;
-    EXPECT_EQ(seq.members()[i].node, bulk.members()[i].node) << "entry " << i;
-  }
-  // Idempotent re-entry and empty windows are no-ops.
-  bulk.BeginBulk();
-  bulk.BeginBulk();
-  bulk.EndBulk();
-  bulk.EndBulk();
-  EXPECT_EQ(seq.NumMembers(), bulk.NumMembers());
-}
-
 class ChordPropertyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ChordPropertyTest, LookupMatchesSortedMapOracle) {

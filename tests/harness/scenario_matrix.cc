@@ -293,6 +293,8 @@ void ScenarioMatrix::CheckTraffic(const engine::EngineSnapshot& snapshot,
                              t.msgs_dropped_partition + t.msgs_dropped_fault);
   EXPECT_LT(t.bytes_per_node_per_epoch, 16384.0)
       << "message-mode traffic exceeded the per-node byte budget";
+  EXPECT_EQ(t.route_fallbacks, 0u)
+      << "a ring route fell back to a zero-hop local delivery";
   // Bounded retransmit queue: pending reliable transfers can never
   // exceed the configured cap, no matter how much the injector loses.
   EXPECT_LE(t.retry_pending, options_.msg.reliability.max_pending)

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/coord_block.h"
 #include "engine/stream_engine.h"
 #include "harness/fixtures.h"
 #include "harness/golden.h"
@@ -1019,11 +1020,38 @@ TEST(MsgEngine, RingReconvergesUnderChaosWithDetector) {
       << "silent nodes confirm on the fixed detector schedule";
   EXPECT_TRUE(t.converged)
       << "the ring must re-quiesce under chaos within the epoch budget";
+  // Every publish, retry and join routed on a stabilized ring: a lookup
+  // fallback would bill zero hops for a route that really took some.
+  EXPECT_EQ(t.route_fallbacks, 0u);
   EXPECT_GT(t.msgs_dropped_fault, 0u);
   EXPECT_GT(t.msgs_duplicated, 0u);
   EXPECT_LE(t.retry_pending, mp.reliability.max_pending);
   EXPECT_GE(t.msgs_sent, t.msgs_delivered + t.msgs_dropped_dead +
                              t.msgs_dropped_partition + t.msgs_dropped_fault);
+}
+
+TEST(MsgEngine, RouteOnAnUnstabilizedRingCountsAFallback) {
+  // The route_fallbacks gate is only meaningful if a fallback is counted:
+  // publish one node at a moved coordinate without restabilizing, so its
+  // displacement republish must route on a stale ring.
+  auto eng = MakeEngine(MsgEngineOptions(5));
+  overlay::Sbon& sbon = eng->sbon();
+  msg::Runtime runtime(&sbon, msg::RuntimeParams());
+  const NodeId n = sbon.overlay_nodes()[0];
+  Vec moved = sbon.cost_space().FullCoord(n);
+  moved[0] += 100.0;
+  CoordBlock block(moved.dims(), 1);
+  block.SetNode(0, moved);
+  sbon.mutable_coords().PublishBatch({n}, block);
+
+  runtime.BeginEpoch();
+  runtime.FinishEpoch(/*refresh=*/true, /*epsilon=*/0.0);
+  EXPECT_EQ(runtime.Summary().route_fallbacks, 1u);
+  // The epoch applied its delivered publishes and restabilized: the next
+  // epoch routes normally.
+  runtime.BeginEpoch();
+  runtime.FinishEpoch(/*refresh=*/true, /*epsilon=*/0.0);
+  EXPECT_EQ(runtime.Summary().route_fallbacks, 1u);
 }
 
 TEST(MsgEngine, ChaosRunsReplayBitIdenticallyAtAnyThreadCount) {
